@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from ._exactlin import mat_mul
 from .discrimination import (
     DiscriminationProblem,
     StateCoeffs,
@@ -33,7 +34,7 @@ from .feasible import (
     povm_from_coords,
 )
 from .nogo import isotropic_sanity_search, naive_transform_search
-from .operators import BipartiteOperator, CRat, is_psd, partial_transpose
+from .operators import CR0, BipartiteOperator, CRat, is_psd, partial_transpose
 from .protocols import (
     build_pure_state_set,
     isotropic_protocol,
@@ -48,9 +49,6 @@ from .symmetry import (
     kind,
     pt_coefficient_map,
 )
-
-CR0 = CRat(0)
-
 
 # ---------------------------------------------------------------------------
 # seeded corpora
@@ -115,7 +113,7 @@ def random_hermitian(rng, d, den=7) -> BipartiteOperator:
 # ---------------------------------------------------------------------------
 # criteria
 
-def criterion_1_oo_two_outcome():
+def criterion_1_oo_two_outcome(seed=0):
     """oo 2-outcome vertex enumeration matches the closed-form catalog, d=3..6."""
     for d in (3, 4, 5, 6):
         k = kind("oo", d)
@@ -130,7 +128,7 @@ def criterion_1_oo_two_outcome():
     return True, "8 formula vertices, exact set equality, d=3..6"
 
 
-def criterion_2_oo_three_outcome():
+def criterion_2_oo_three_outcome(seed=0):
     """oo 3-outcome enumeration: the unique genuine triple, d=3..5."""
     for d in (3, 4, 5):
         k = kind("oo", d)
@@ -151,7 +149,7 @@ def criterion_2_oo_three_outcome():
     return True, "unique genuine triple matches the closed form, d=3..5"
 
 
-def criterion_3_bell_enumeration():
+def criterion_3_bell_enumeration(seed=0):
     """Bell N=2,3 double-description vs brute force; N=4 structure."""
     k = kind("bell", 2)
     for n in (2, 3):
@@ -196,7 +194,7 @@ def criterion_4_protocol_exactness(seed=0):
     return True, "2000 random targets + all bell/oo catalog entries verify exactly"
 
 
-def criterion_5_pure_state_sets():
+def criterion_5_pure_state_sets(seed=0):
     """Identity resolution and self-transpose orthogonality, d=2..6."""
     from .operators import mat_add, mat_eye, mat_scale
 
@@ -212,17 +210,11 @@ def criterion_5_pure_state_sets():
     return True, "sum w|q><q| = 1 and sum amp^2 = 0 exactly, d=2..6"
 
 
-def _square_map(m):
-    rows = [list(r) for r in m.matrix]
-    n = len(rows)
-    return [[sum(rows[i][t] * rows[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def criterion_6_pt_structure(seed=0):
     """PT involutions, coefficient-vs-operator PT positivity, Bell halfspaces."""
     for d in range(2, 9):
-        sq = _square_map(pt_coefficient_map(kind("oo", d)))
+        r = pt_coefficient_map(kind("oo", d)).matrix
+        sq = mat_mul(r, r)
         if any(sq[i][j] != (1 if i == j else 0) for i in range(3) for j in range(3)):
             return False, f"oo d={d}: R^2 != 1"
     for d in range(2, 7):
@@ -232,7 +224,8 @@ def criterion_6_pt_structure(seed=0):
             comp = second.compose(first).matrix
             if any(comp[i][j] != (1 if i == j else 0) for i in range(2) for j in range(2)):
                 return False, f"d={d}: isotropic/werner maps do not invert each other"
-    sq = _square_map(pt_coefficient_map(kind("bell", 2)))
+    r = pt_coefficient_map(kind("bell", 2)).matrix
+    sq = mat_mul(r, r)
     if any(sq[i][j] != (1 if i == j else 0) for i in range(4) for j in range(4)):
         return False, "bell: PT map squared != 1"
 
@@ -292,7 +285,7 @@ def criterion_7_nogo(seed=0):
     return True, "all 48+216 cases fail for d=3..6; isotropic inversion recovered"
 
 
-def criterion_8_discrimination():
+def criterion_8_discrimination(seed=0):
     """Canonical local-vs-global discrimination values."""
     kb = kind("bell", 2)
     bell_states = [StateCoeffs(kb, tuple(Fraction(int(i == j)) for i in range(4)))
@@ -388,12 +381,12 @@ CRITERIA = (
 
 
 def run_all(seed=0):
-    """Run every acceptance criterion; returns a list of result dicts."""
+    """Run every acceptance criterion with ``seed``; returns result dicts."""
     results = []
     for name, fn in CRITERIA:
         t0 = time.time()
         try:
-            ok, detail = fn(seed) if fn.__code__.co_argcount else fn()
+            ok, detail = fn(seed)
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
         results.append({"criterion": name, "ok": ok, "detail": detail,

@@ -1,4 +1,9 @@
-"""Exact linear algebra over Fraction matrices (real coefficient space)."""
+"""Exact linear algebra over Fraction matrices (real coefficient space).
+
+This is the one exact elimination kernel: ``rref``, ``det``, the simplex
+in ``feasible`` and the double description in ``extremal`` all eliminate
+through ``pivot``, and integer rays and rows are reduced by ``primitive``.
+"""
 
 from __future__ import annotations
 
@@ -14,11 +19,26 @@ def _copy(a):
     return [[frac(x) for x in row] for row in a]
 
 
+def pivot(rows, r, c):
+    """Gauss-Jordan step in place: scale row r to a unit entry in column c,
+    then clear column c from every other row."""
+    prow = rows[r]
+    pv = prow[c]
+    if pv != 1:
+        inv = 1 / pv
+        rows[r] = prow = [x * inv for x in prow]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            f = row[c]
+            rows[i] = [x - f * y for x, y in zip(row, prow)]
+
+
 def rref(a, pivot_cols=None):
     """Reduced row echelon form.  Returns (rows, pivot column indices).
 
     Pivot search is restricted to the first ``pivot_cols`` columns, which
-    lets an augmented system be reduced without pivoting on its rhs.
+    lets an augmented system be reduced without pivoting on its rhs.  The
+    pivot columns are the first columns independent of those before them.
     """
     m = _copy(a)
     if not m:
@@ -31,12 +51,7 @@ def rref(a, pivot_cols=None):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -94,7 +109,8 @@ def inverse(a):
 
 
 def det(a) -> Fraction:
-    """Exact determinant by fraction-preserving Gaussian elimination."""
+    """Exact determinant: the product of the Gauss-Jordan pivots, signed by
+    the row swaps."""
     m = _copy(a)
     n = len(m)
     out = Fraction(1)
@@ -106,27 +122,21 @@ def det(a) -> Fraction:
             m[c], m[pr] = m[pr], m[c]
             out = -out
         out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        pivot(m, c, c)
     return out
 
 
-def primitive_ints(row):
+def primitive(ints) -> tuple:
+    """An integer row divided by the gcd of its entries (direction kept)."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def primitive_ints(row) -> tuple:
     """Scale a Fraction row to coprime integers, preserving direction."""
-    denoms = [frac(x).denominator for x in row]
-    scale = 1
-    for d in denoms:
-        scale = lcm(scale, d)
-    ints = [int(frac(x) * scale) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    row = [frac(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return primitive([int(x * scale) for x in row])
 
 
 def mat_mul(a, b):

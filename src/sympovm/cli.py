@@ -30,6 +30,7 @@ from .extremal import (
 from .feasible import SymPovm, build_feasible_polytope, convex_decompose, is_feasible
 from .nogo import isotropic_sanity_search, naive_transform_search
 from .protocols import (
+    InfeasibleTargetError,
     LocalProtocol,
     bell_protocol,
     build_pure_state_set,
@@ -133,8 +134,13 @@ def cmd_protocol_synth(args):
         if not args.target:
             raise ValueError("--target is required for isotropic/werner synthesis")
         target = SymPovm.from_json(_load_json(args.target))
-        proto = isotropic_protocol(target) if k.family.value == "isotropic" \
-            else werner_protocol(target)
+        try:
+            proto = isotropic_protocol(target) if k.family.value == "isotropic" \
+                else werner_protocol(target)
+        except InfeasibleTargetError as exc:  # a real infeasibility, not bad input
+            _print_json({"outcome": exc.outcome, "coefficient": str(exc.coefficient),
+                         "message": str(exc)})
+            return 1
     elif k.family.value == "bell":
         if args.extremum_index is None:
             raise ValueError("--extremum-index is required for bell synthesis")
@@ -304,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,8 @@ to reduced dimension <= 8; it prefilters the combinatorial explosion in
 floating point (safe here because all constraint data is scaled to small
 integers, so a nonsingular active set has |det| >= 1) and every surviving
 candidate is re-solved and re-checked in exact rational arithmetic before
-it is accepted.
+it is accepted.  Both routes, like the simplex, eliminate and reduce
+integer rows through ``_exactlin``, the one exact elimination kernel.
 """
 
 from __future__ import annotations
@@ -158,21 +159,6 @@ def _lift(x0, basis, z):
 # ---------------------------------------------------------------------------
 # double description
 
-def _primitive(vec):
-    g = 0
-    for v in vec:
-        g = _gcd(g, abs(v))
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _dd_cone(rows, dim):
     """Extreme rays of {y : row . y >= 0 for all rows}, exact integers.
 
@@ -182,21 +168,13 @@ def _dd_cone(rows, dim):
     re-evaluated exactly on every new ray so the combinatorial adjacency
     test stays valid under degeneracy.
     """
-    chosen = []
-    chosen_idx = []
-    for i, r in enumerate(rows):
-        if _exactlin.rank([list(map(Fraction, c)) for c in chosen + [r]]) > len(chosen):
-            chosen.append(r)
-            chosen_idx.append(i)
-            if len(chosen) == dim:
-                break
-    if len(chosen) < dim:
+    # the pivot columns of rref(rows^T) are the first independent rows
+    chosen_idx = _exactlin.rref([list(col) for col in zip(*rows)])[1]
+    if len(chosen_idx) < dim:
         raise ValueError("cone is not pointed; polytope unbounded or degenerate")
-    inv = _exactlin.inverse([list(map(Fraction, r)) for r in chosen])
-    rays = []
-    for j in range(dim):
-        col = [inv[i][j] for i in range(dim)]
-        rays.append(_primitive(tuple(_exactlin.primitive_ints(col))))
+    inv = _exactlin.inverse([rows[i] for i in chosen_idx])
+    rays = [_exactlin.primitive_ints([inv[i][j] for i in range(dim)])
+            for j in range(dim)]
     processed = list(chosen_idx)
 
     def zeroset(ray):
@@ -230,7 +208,7 @@ def _dd_cone(rows, dim):
                     continue
                 combo = tuple(vals[p] * rays[q][t] - vals[q] * rays[p][t]
                               for t in range(dim))
-                new_rays.append(_primitive(combo))
+                new_rays.append(_exactlin.primitive(combo))
         processed.append(i)
         bit = 1 << (len(processed) - 1)
         keep_rays = [rays[k] for k in pos] + [rays[k] for k in zero]
@@ -252,7 +230,7 @@ def enumerate_vertices(polytope: Polytope) -> VertexSet:
         return _vertex_set_from_points(polytope, [tuple(x0)])
     rows = []
     for coeffs, shift, _ in reduced:
-        rows.append(tuple(_exactlin.primitive_ints(list(coeffs) + [-shift])))
+        rows.append(_exactlin.primitive_ints(list(coeffs) + [-shift]))
     rows.append(tuple([0] * m + [1]))  # homogenising t >= 0
     rays = _dd_cone(rows, m + 1)
     pts = []
@@ -371,10 +349,11 @@ def is_extremal(p: SymPovm) -> ExtremalityReport:
             rows.append(list(row))
         else:
             slack_rows.append((row, val - rhs))
-    rank = _exactlin.rank(rows)
-    if rank == poly.ambient_dim:
+    kernel = _exactlin.nullspace(rows, poly.ambient_dim)
+    rank = poly.ambient_dim - len(kernel)
+    if not kernel:
         return ExtremalityReport(True, rank, poly.ambient_dim)
-    delta = _exactlin.nullspace(rows, poly.ambient_dim)[0]
+    delta = kernel[0]
     eps = None
     for row, slack in slack_rows:
         move = sum(r * d for r, d in zip(row, delta))

@@ -10,7 +10,8 @@ with Bland's rule (entering: lowest eligible index; leaving: lowest basis
 index among minimum ratios), which makes every run deterministic and
 cycling impossible.  Infeasible systems yield a Farkas certificate: a
 nonnegative combination of constraint rows adding up to an impossible
-inequality.
+inequality.  The cost row is the tableau's last row, and every pivot is
+``_exactlin.pivot``, the one exact elimination kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from ._exactlin import frac
+from ._exactlin import frac, pivot
 from .symmetry import CoeffVector, SymmetryKind, pt_coefficient_map
 
 
@@ -244,30 +245,16 @@ class LpResult:
         return out
 
 
-def _pivot(T, cost, basis, r, e):
-    prow = T[r]
-    pv = prow[e]
-    if pv != 1:
-        inv = 1 / pv
-        T[r] = prow = [x * inv for x in prow]
-    for i, row in enumerate(T):
-        if i != r and row[e]:
-            f = row[e]
-            T[i] = [x - f * y for x, y in zip(row, prow)]
-    if cost[e]:
-        f = cost[e]
-        cost[:] = [x - f * y for x, y in zip(cost, prow)]
-    basis[r] = e
-
-
-def _bland_iterate(T, cost, basis, ncols_allowed):
-    rhs = len(cost) - 1
+def _bland_iterate(T, basis, ncols_allowed):
+    """Bland's rule on a tableau whose last row is the cost row."""
+    rhs = len(T[0]) - 1
     while True:
+        cost = T[-1]
         e = next((j for j in range(ncols_allowed) if cost[j] < 0), None)
         if e is None:
             return
         best_r, best_ratio = None, None
-        for i, row in enumerate(T):
+        for i, row in enumerate(T[:-1]):
             if row[e] > 0:
                 ratio = row[rhs] / row[e]
                 if best_ratio is None or ratio < best_ratio or \
@@ -275,7 +262,8 @@ def _bland_iterate(T, cost, basis, ncols_allowed):
                     best_r, best_ratio = i, ratio
         if best_r is None:
             raise UnboundedLpError("objective unbounded over the feasible region")
-        _pivot(T, cost, basis, best_r, e)
+        pivot(T, best_r, e)
+        basis[best_r] = e
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
@@ -319,12 +307,11 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         T[i][ncols + i] = Fraction(1)
     basis = [ncols + i for i in range(m)]
 
-    # phase 1: minimise the artificial sum
-    cost = [Fraction(0)] * (ncols + m + 1)
-    for j in range(ncols + m + 1):
-        if j < ncols or j == ncols + m:
-            cost[j] = -sum(T[i][j] for i in range(m))
-    _bland_iterate(T, cost, basis, ncols)
+    # phase 1: minimise the artificial sum; the cost row is the last row
+    T.append([-sum(T[i][j] for i in range(m)) if j < ncols or j == ncols + m
+              else Fraction(0) for j in range(ncols + m + 1)])
+    _bland_iterate(T, basis, ncols)
+    cost = T[-1]
     if -cost[-1] != 0:
         # infeasible; multipliers from the artificial columns' reduced costs
         cert = []
@@ -341,13 +328,14 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             e = next((j for j in range(ncols) if T[i][j]), None)
             if e is None:
                 continue  # 0 = 0 row
-            _pivot(T, cost, basis, i, e)
+            pivot(T, i, e)
+            basis[i] = e
         keep.append(i)
-    if len(keep) < len(T):
-        T = [T[i] for i in keep]
+    if len(keep) < m:
+        T = [T[i] for i in keep] + [T[-1]]
         basis = [basis[i] for i in keep]
 
-    # phase 2
+    # phase 2: price out the basic columns of the new cost row
     obj = [frac(c) for c in lp.objective]
     if lp.sense == "max":
         obj = [-c for c in obj]
@@ -358,11 +346,10 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             cost[2 * j + 1] = -v
         else:
             cost[j] = v
+    T[-1] = cost
     for i, bj in enumerate(basis):
-        if cost[bj]:
-            f = cost[bj]
-            cost[:] = [x - f * y for x, y in zip(cost, T[i])]
-    _bland_iterate(T, cost, basis, ncols)
+        pivot(T, i, bj)
+    _bland_iterate(T, basis, ncols)
 
     z = [Fraction(0)] * ncols
     for i, bj in enumerate(basis):

@@ -134,6 +134,8 @@ def _pair_vertices_isotropic(d):
 def _vertex_matching_cases(pairs, trivial, pt_matrix):
     """Route (i): all assignments of cube vertex pairs to polytope pairs.
 
+    Returns the cases and the admissible transforms L among them.
+
     In coefficient dimension n >= 3 each unit vector carries its own cube
     vertex pair {e_i, 1 - e_i}; in dimension 2 the square has a single
     nontrivial pair (e2 = 1 - e1), so only the orientation is free.
@@ -157,9 +159,9 @@ def _vertex_matching_cases(pairs, trivial, pt_matrix):
                 label = tuple(f"e{i + 1}->pair{perm[i] + 1}.{orient[i] + 1}"
                               for i in range(n))
                 candidates.append((cols, label))
-    cases = []
+    cases, transforms = [], []
     for cols, label in candidates:
-        L = [[cols[j][i] for j in range(n)] for i in range(n)]
+        L = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         report = verify_L_requirements(L, pt_matrix)
         failures = list(report.failures())
         # image of every cube vertex must itself be a polytope vertex
@@ -172,7 +174,9 @@ def _vertex_matching_cases(pairs, trivial, pt_matrix):
             failures.append("vertex-images-mismatch")
         cases.append(NoGoCase("vertex-matching", label,
                               not failures, tuple(failures)))
-    return cases
+        if not failures:
+            transforms.append(L)
+    return cases, transforms
 
 
 def _unit_row_cases(pt_matrix, n):
@@ -222,23 +226,8 @@ def _unit_row_cases(pt_matrix, n):
 
 
 def _search(pairs, trivial, pt_matrix, dim, family):
-    cases = _vertex_matching_cases(pairs, trivial, pt_matrix)
-    n = len(pt_matrix)
-    cases += _unit_row_cases(pt_matrix, n)
-    transforms = []
-    for case in cases:
-        if case.route == "vertex-matching" and case.feasible:
-            # rebuild the admissible transform for the report
-            if n == 2:
-                ori = int(case.assignment[0].split(".")[1]) - 1
-                cols = [pairs[0][ori], pairs[0][1 - ori]]
-            else:
-                idx = [int(a.split("pair")[1].split(".")[0]) - 1
-                       for a in case.assignment]
-                ori = [int(a.split(".")[1]) - 1 for a in case.assignment]
-                cols = [pairs[idx[i]][ori[i]] for i in range(n)]
-            transforms.append(tuple(tuple(cols[j][i] for j in range(n))
-                                    for i in range(n)))
+    cases, transforms = _vertex_matching_cases(pairs, trivial, pt_matrix)
+    cases += _unit_row_cases(pt_matrix, len(pt_matrix))
     verdict = "feasible" if any(c.feasible for c in cases) else "infeasible"
     return NoGoCertificate(dim, family, verdict, tuple(cases), tuple(transforms))
 

@@ -349,15 +349,25 @@ class BipartiteOperator:
 
     @classmethod
     def from_json(cls, obj, eps=EPS_DEFAULT):
-        d = int(obj["dim"])
-        rows = obj["entries"]
-        exact = all(isinstance(p[0], str) and isinstance(p[1], str)
-                    for row in rows for p in row)
-        if exact:
-            grid = [[CRat(Fraction(p[0]), Fraction(p[1])) for p in row] for row in rows]
-            return cls(d, grid)
-        arr = np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows])
-        return cls(d, arr, exact=False, eps=eps)
+        exact = json_grids_exact([obj["entries"]])
+        return cls(int(obj["dim"]), grid_from_json(obj["entries"], exact),
+                   exact=exact, eps=eps)
+
+
+def json_grids_exact(grids) -> bool:
+    """Whether JSON grids of [re, im] pairs read as exact: only when every
+    entry of every grid is a pair of "p/q" strings, so that one input is
+    never part exact and part float."""
+    return all(isinstance(p[0], str) and isinstance(p[1], str)
+               for rows in grids for row in rows for p in row)
+
+
+def grid_from_json(rows, exact):
+    """A JSON grid of [re, im] pairs as a CRat grid, or a complex array."""
+    if exact:
+        return mat([[CRat(Fraction(p[0]), Fraction(p[1])) for p in row] for row in rows])
+    return np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows],
+                    dtype=complex)
 
 
 def tensor(a, b) -> BipartiteOperator:

@@ -26,6 +26,8 @@ from .operators import (
     BipartiteOperator,
     CRat,
     cr,
+    grid_from_json,
+    json_grids_exact,
     ketbra,
     mat,
     mat_add,
@@ -105,26 +107,18 @@ class LocalProtocol:
 
     @classmethod
     def from_json(cls, obj) -> "LocalProtocol":
+        """Read the whole file in one mode: exact only when every factor is."""
         from .symmetry import kind as mk
 
         k = mk(obj["twirl"], int(obj["dim"]))
-        outcomes = []
-        for terms in obj["outcomes"]:
-            parsed = []
-            for t in terms:
-                a = _factor_from_json(t["a"])
-                b = _factor_from_json(t["b"])
-                parsed.append(ProductTerm(Fraction(t["w"]), a, b))
-            outcomes.append(tuple(parsed))
-        return cls(k, tuple(outcomes))
+        exact = json_grids_exact([t[f]["entries"] for terms in obj["outcomes"]
+                                  for t in terms for f in "ab"])
 
+        def term(t):
+            return ProductTerm(Fraction(t["w"]), grid_from_json(t["a"]["entries"], exact),
+                               grid_from_json(t["b"]["entries"], exact))
 
-def _factor_from_json(obj):
-    rows = obj["entries"]
-    exact = all(isinstance(p[0], str) for row in rows for p in row)
-    if exact:
-        return mat([[CRat(Fraction(p[0]), Fraction(p[1])) for p in row] for row in rows])
-    return np.array([[p[0] + 1j * p[1] for p in row] for row in rows], dtype=complex)
+        return cls(k, tuple(tuple(term(t) for t in terms) for terms in obj["outcomes"]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +487,7 @@ def verify_protocol(protocol: LocalProtocol, target: SymPovm,
             for g in (t.a_factor, t.b_factor):
                 if isinstance(g, np.ndarray):
                     herm = np.max(np.abs(g - g.conj().T)) <= eps
-                    psd_ok &= herm and np.min(np.linalg.eigvalsh(g)) >= -eps
+                    psd_ok &= bool(herm and np.min(np.linalg.eigvalsh(g)) >= -eps)
                 else:
                     psd_ok &= mat_is_hermitian(g) and psd_exact(g)
     outcomes_ok = []

@@ -29,6 +29,7 @@ from .operators import (
     maximally_entangled_projector,
     mat,
     mat_add,
+    mat_dagger,
     mat_eq,
     mat_kron,
     mat_mul,
@@ -260,13 +261,9 @@ def bell_group_average(m: BipartiteOperator) -> BipartiteOperator:
     for name in ("i", "x", "y", "z"):
         s = pauli(name)
         u = mat_kron(s, s)
-        conj = mat_mul(mat_mul(u, m.entries), _dagger_grid(u))
+        conj = mat_mul(mat_mul(u, m.entries), mat_dagger(u))
         acc = acc + BipartiteOperator(2, conj)
     return acc.scale(Fraction(1, 4))
-
-
-def _dagger_grid(g):
-    return tuple(tuple(g[j][i].conjugate() for j in range(len(g))) for i in range(len(g[0])))
 
 
 @dataclass(frozen=True)

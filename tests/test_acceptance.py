@@ -13,6 +13,6 @@ SEED = 0
 
 @pytest.mark.parametrize("name,check", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance(name, check):
-    ok, detail = check(SEED) if check.__code__.co_argcount else check()
+    ok, detail = check(SEED)
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"

@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process, via main)."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -187,6 +188,99 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["vertices", "--family", "nope", "--outcomes", "2"])
     assert exc.value.code == 2
+    zero_den = tmp_path / "zero-den.json"
+    zero_den.write_text(json.dumps({"family": "isotropic", "dim": 2,
+                                    "elements": [["1", "1/0"], ["0", "1"]]}))
+    code, _, err = run(capsys, "check", "--povm", str(zero_den))
+    assert code == 2 and "error:" in err
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps({"family": "isotropic", "dim": 2,
+                                  "states": [["1", "0"], ["0", "1"]]}))
+    code, _, err = run(capsys, "discriminate", "--states", str(states),
+                       "--priors", "1/0,1")
+    assert code == 2 and "error:" in err
+
+
+def test_protocol_synth_ppt_violating_target_exits_1(tmp_path, capsys):
+    path = tmp_path / "ppt-violating.json"
+    path.write_text(json.dumps({"family": "isotropic", "dim": 2,
+                                "elements": [["1", "0"], ["0", "1"]]}))
+    code, out, _ = run(capsys, "protocol-synth", "--family", "isotropic",
+                       "--dim", "2", "--target", str(path))
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["outcome"] == 0
+    assert Fraction(blob["coefficient"]) < 0 and blob["message"]
+
+
+def test_protocol_file_mixing_exact_and_float_factors_reads_as_float(tmp_path, capsys):
+    exact_one = {"dim": 2, "entries": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}
+    float_one = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    ppath = tmp_path / "protocol.json"
+    ppath.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [
+        [{"w": "1", "a": exact_one, "b": float_one}]]}))
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"family": "isotropic", "dim": 2,
+                                 "elements": [["1", "1"]]}))
+    code, out, _ = run(capsys, "protocol-verify", "--protocol", str(ppath),
+                       "--target", str(tpath))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+# Inputs and sha256 digests of stdout for LP, double-description and no-go
+# commands.  The digests pin the exact output byte for byte: a change to the
+# elimination kernel, the simplex or the DD must leave every one unchanged.
+DIGEST_FILES = {
+    "bell3.json": {"family": "bell", "dim": 2, "elements": [
+        ["1/2", "1/3", "1/6", "0"], ["1/4", "1/3", "1/2", "1/2"],
+        ["1/4", "1/3", "1/3", "1/2"]]},
+    "bell-outside.json": {"family": "bell", "dim": 2, "elements": [
+        ["1", "0", "0", "0"], ["0", "1", "1", "1"]]},
+    "oo-mix.json": {"family": "oo", "dim": 3, "elements": [
+        ["1/2", "1/3", "1/5"], ["1/4", "1/3", "2/5"], ["1/4", "1/3", "2/5"]]},
+    "states.json": {"family": "isotropic", "dim": 3, "states": [
+        ["1/3", "2/3"], ["1/9", "8/9"], ["0", "1"]]},
+    "cost.json": [["0", "1", "2"], ["1", "0", "1"], ["3", "1", "0"]],
+}
+DIGESTS = [
+    ("nogo --dim 3 --json", 0,
+     "16575adc4de4cd9e63f240cefd410588e58ac638e6d22982b099409aa3fbb0da"),
+    ("nogo --dim 2 --family isotropic --json", 0,
+     "aed91dc980a178cbc2d03efed37fc0a1f6f77b1d07850106705a54e5b4ad203e"),
+    ("vertices --family oo --dim 4 --outcomes 3", 0,
+     "93f02b19e4bf5faeee0a2976feb8e9ae861a95a953ca5f9addaed705d44010c6"),
+    ("vertices --family bell --dim 2 --outcomes 3 --method brute", 0,
+     "f3bf574561ceec4ed92f44769927a2204f2b0ed3795fc2614595a2dd9a1d784a"),
+    ("vertices --family isotropic --dim 3 --outcomes 3 --format csv", 0,
+     "2d334f94e7af0b5add9199e3f91139e0df7e94263073d701f4763a20964ba609"),
+    ("check --povm bell3.json", 0,
+     "3b560ec1a4cc8800e9effa22237e56c3703c298a8758b6d10e5d9240bfb37d24"),
+    ("check --povm bell-outside.json", 1,
+     "2b82c30681723ab90b76c41408e7f4faae012e39466d1c5e2b12cb4f3a702e41"),
+    ("decompose --povm bell3.json", 0,
+     "61d48b58ef3faf1b345002bd16c8cdc4066dbac895fa83ed60ee0a17eb67c67a"),
+    ("decompose --povm bell-outside.json", 1,
+     "6cc200aab3fd2fe13877866133652f920b63bd337a67244cb0c7b48bd744de23"),
+    ("decompose --povm oo-mix.json", 0,
+     "0ad4f9a639d60aa498c34b0756fbbb85dc4bffa9cae974681bf1416dbe5ed5c9"),
+    ("discriminate --states states.json --priors 1/2,1/3,1/6 --cost cost.json", 0,
+     "05c3e485a5a31420606f2ed90e3328fa0149737cf396fd590ff5ef5de066ff6f"),
+    ("discriminate --states states.json --cost bayes", 0,
+     "c163a53859d58ad4e3683f752205a0e57ace991b770bb91f471a264026d6fffe"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", DIGESTS, ids=[c for c, _, _ in DIGESTS])
+def test_stdout_matches_recorded_digest(command, code, digest, tmp_path, capsys):
+    for name, blob in DIGEST_FILES.items():
+        (tmp_path / name).write_text(json.dumps(blob))
+    argv = [str(tmp_path / a) if a in DIGEST_FILES else a
+            for a in command.split()]
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code, command
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+        f"stdout of `sympovm {command}` differs from the recorded output"
 
 
 def test_basis_json_round_trips_matrices(capsys):

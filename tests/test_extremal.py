@@ -86,7 +86,9 @@ def test_double_description_equals_brute_force(fam, d, n):
 
 @pytest.mark.parametrize("fam,d,n", [("isotropic", 2, 2), ("isotropic", 4, 3),
                                      ("werner", 3, 2), ("oo", 3, 3),
-                                     ("oo", 4, 2), ("bell", 2, 3), ("bell", 2, 4)])
+                                     ("oo", 4, 2), ("bell", 2, 3), ("bell", 2, 4),
+                                     ("oo", 3, 4), ("oo", 3, 5), ("oo", 4, 4),
+                                     ("oo", 4, 5), ("bell", 2, 5)])
 def test_catalog_matches_enumeration(fam, d, n):
     k = kind(fam, d)
     cat = catalog_extrema(k, n)
