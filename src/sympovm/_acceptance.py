@@ -48,6 +48,7 @@ from .symmetry import (
     coeff_to_operator,
     kind,
     pt_coefficient_map,
+    twirl_coefficients,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,28 +170,57 @@ def criterion_3_bell_enumeration(seed=0):
     return True, "N=2,3 oracle agreement; N=4 equals catalog, <=2 nonzero outcomes"
 
 
+def _dense_route_agrees(proto, report):
+    """The dense oracle of verify_protocol: twirl each built outcome operator,
+    and sum them to test completeness."""
+    d = proto.kind.dim
+    total = BipartiteOperator.zeros(d)
+    for i in range(len(proto.outcomes)):
+        op = proto.outcome_operator(i)
+        if twirl_coefficients(op, proto.kind) != proto.outcome_coefficients(i):
+            return False
+        total = total + op
+    return (total == BipartiteOperator.identity(d)) == report.complete
+
+
 def criterion_4_protocol_exactness(seed=0):
-    """1000 random feasible targets per family verify exactly; catalogs too."""
+    """1000 random feasible targets per family verify exactly; catalogs too.
+
+    Every bell and oo catalog protocol, and the first random target of each
+    (family, d), is also checked against the dense route.
+    """
     rng = random.Random(seed)
     for fam, synth in (("isotropic", isotropic_protocol), ("werner", werner_protocol)):
         for d in (2, 3, 4, 5):
             k = kind(fam, d)
-            for _ in range(250):
+            for i in range(250):
                 target = random_feasible_target(rng, k, rng.randint(1, 4))
-                if not verify_protocol(synth(target), target).ok:
+                proto = synth(target)
+                report = verify_protocol(proto, target)
+                if not report.ok:
                     return False, f"{fam} d={d}: random target failed"
+                if i == 0 and not _dense_route_agrees(proto, report):
+                    return False, f"{fam} d={d}: dense twirl disagrees"
     k = kind("bell", 2)
     for n in (2, 3, 4):
         for povm, _, _ in catalog_extrema(k, n).canonical_classes():
-            if not verify_protocol(protocol_for_vertex(povm), povm).ok:
+            proto = protocol_for_vertex(povm)
+            report = verify_protocol(proto, povm)
+            if not report.ok:
                 return False, f"bell N={n}: catalog protocol failed"
+            if not _dense_route_agrees(proto, report):
+                return False, f"bell N={n}: dense twirl disagrees"
     for d in (3, 4, 5):
         k = kind("oo", d)
         states = build_pure_state_set(d)
         for n in (2, 3):
             for povm, _, _ in catalog_extrema(k, n).canonical_classes():
-                if not verify_protocol(protocol_for_vertex(povm, states), povm).ok:
+                proto = protocol_for_vertex(povm, states)
+                report = verify_protocol(proto, povm)
+                if not report.ok:
                     return False, f"oo d={d} N={n}: catalog protocol failed"
+                if not _dense_route_agrees(proto, report):
+                    return False, f"oo d={d} N={n}: dense twirl disagrees"
     return True, "2000 random targets + all bell/oo catalog entries verify exactly"
 
 

@@ -28,6 +28,7 @@ from .extremal import (
     enumerate_vertices,
 )
 from .feasible import SymPovm, build_feasible_polytope, convex_decompose, is_feasible
+from .operators import json_list, json_object, parse_fraction
 from .nogo import isotropic_sanity_search, naive_transform_search
 from .protocols import (
     InfeasibleTargetError,
@@ -39,7 +40,7 @@ from .protocols import (
     verify_protocol,
     werner_protocol,
 )
-from .symmetry import CoeffVector, commutant_basis, kind
+from .symmetry import CoeffVector, commutant_basis, kind, kind_from_json
 
 
 def _print_json(obj):
@@ -49,6 +50,15 @@ def _print_json(obj):
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _read(path, parse):
+    """parse(JSON of path); bad JSON, a wrong shape or a bad value is an error
+    naming the file."""
+    try:
+        return parse(_load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _family_kind(args):
@@ -73,7 +83,7 @@ def cmd_basis(args):
 
 
 def cmd_check(args):
-    povm = SymPovm.from_json(_load_json(args.povm))
+    povm = _read(args.povm, SymPovm.from_json)
     report = is_feasible(povm)
     _print_json({"feasible": report.feasible,
                  "violations": [{"label": list(l), "value": str(v)}
@@ -114,7 +124,7 @@ def cmd_extrema(args):
 
 
 def cmd_decompose(args):
-    povm = SymPovm.from_json(_load_json(args.povm))
+    povm = _read(args.povm, SymPovm.from_json)
     catalog = catalog_extrema(povm.kind, povm.n_outcomes)
     res = convex_decompose(povm, catalog)
     if res.decomposed:
@@ -133,7 +143,7 @@ def cmd_protocol_synth(args):
     if k.family.value in ("isotropic", "werner"):
         if not args.target:
             raise ValueError("--target is required for isotropic/werner synthesis")
-        target = SymPovm.from_json(_load_json(args.target))
+        target = _read(args.target, SymPovm.from_json)
         try:
             proto = isotropic_protocol(target) if k.family.value == "isotropic" \
                 else werner_protocol(target)
@@ -154,8 +164,8 @@ def cmd_protocol_synth(args):
 
 
 def cmd_protocol_verify(args):
-    proto = LocalProtocol.from_json(_load_json(args.protocol))
-    target = SymPovm.from_json(_load_json(args.target))
+    proto = _read(args.protocol, LocalProtocol.from_json)
+    target = _read(args.target, SymPovm.from_json)
     report = verify_protocol(proto, target, eps=args.eps)
     _print_json(report.to_json())
     return 0 if report.ok else 1
@@ -181,25 +191,38 @@ def cmd_nogo(args):
 
 
 def _parse_priors(text, n):
-    priors = [Fraction(p) for p in text.split(",")] if text else \
+    priors = [parse_fraction(p, "--priors") for p in text.split(",")] if text else \
         [Fraction(1, n)] * n
     return priors
 
 
+def _fraction_rows(rows, where):
+    return [[parse_fraction(x, f"{where}[{i}][{j}]") for j, x in
+             enumerate(json_list(row, f"{where}[{i}]"))]
+            for i, row in enumerate(json_list(rows, where))]
+
+
+def _states_from_json(blob):
+    json_object(blob, "family", "dim", "states")
+    k = kind_from_json(blob)
+    rows = _fraction_rows(blob["states"], "states")
+    if not rows:
+        raise ValueError("states: expected at least one state")
+    return [StateCoeffs(k, tuple(row)) for row in rows]
+
+
 def cmd_discriminate(args):
-    blob = _load_json(args.states)
-    k = kind(blob["family"], int(blob["dim"]))
-    states = [StateCoeffs(k, tuple(Fraction(w) for w in row))
-              for row in blob["states"]]
+    states = _read(args.states, _states_from_json)
     priors = _parse_priors(args.priors, len(states))
     cost = args.cost
     if cost not in ("bayes", "info"):
-        cost = [[Fraction(c) for c in row] for row in _load_json(cost)]
+        cost = _read(cost, lambda blob: _fraction_rows(blob, "cost"))
     problem = DiscriminationProblem(states, priors, cost)
     if args.mode == "global":
         value = global_optimal(problem)
         # the optimal global measurement resolves the commutant blocks,
         # which is itself an invariant (generally non-PPT) POVM
+        k = problem.kind
         n = k.n_coeffs
         blocks = SymPovm(k, tuple(
             CoeffVector(k, tuple(Fraction(int(i == j)) for j in range(n)))

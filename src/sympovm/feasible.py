@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._exactlin import frac, pivot
-from .symmetry import CoeffVector, SymmetryKind, pt_coefficient_map
+from .operators import json_list, json_object, parse_fraction
+from .symmetry import CoeffVector, SymmetryKind, kind_from_json, pt_coefficient_map
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,19 @@ class SymPovm:
 
     @classmethod
     def from_json(cls, obj) -> "SymPovm":
-        from .symmetry import kind as mk
-
-        k = mk(obj["family"], int(obj["dim"]))
-        elems = tuple(CoeffVector(k, tuple(Fraction(c) for c in row))
-                      for row in obj["elements"])
-        return cls(k, elems)
+        """Read a POVM object; a wrong shape or value is a ValueError naming its field."""
+        json_object(obj, "family", "dim", "elements")
+        k = kind_from_json(obj)
+        rows = json_list(obj["elements"], "elements")
+        elems = []
+        for i, row in enumerate(rows):
+            where = f"elements[{i}]"
+            coeffs = tuple(parse_fraction(c, f"{where}[{j}]")
+                           for j, c in enumerate(json_list(row, where)))
+            if len(coeffs) != k.n_coeffs:
+                raise ValueError(f"{where}: {k.label()} expects {k.n_coeffs} coefficients")
+            elems.append(CoeffVector(k, coeffs))
+        return cls(k, tuple(elems))
 
 
 def povm_from_coords(k: SymmetryKind, n_outcomes: int, coords) -> SymPovm:

@@ -349,25 +349,86 @@ class BipartiteOperator:
 
     @classmethod
     def from_json(cls, obj, eps=EPS_DEFAULT):
-        exact = json_grids_exact([obj["entries"]])
-        return cls(int(obj["dim"]), grid_from_json(obj["entries"], exact),
+        json_object(obj, "dim", "entries")
+        exact = json_grids_exact([json_grid(obj["entries"], "entries")])
+        return cls(parse_int(obj["dim"], "dim"), grid_from_json(obj["entries"], exact),
                    exact=exact, eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# JSON input: every reader checks the shape of what it reads and raises
+# ValueError naming the bad field, never a TypeError from deep inside
+
+def json_object(obj, *keys, where="top level"):
+    """obj as a JSON object that holds every field in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object with fields {', '.join(keys)}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+    return obj
+
+
+def json_list(x, where):
+    if not isinstance(x, list):
+        raise ValueError(f"{where}: expected a list, got {type(x).__name__}")
+    return x
+
+
+def parse_int(x, where) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected an integer, got {x!r}") from None
+
+
+def parse_fraction(x, where) -> Fraction:
+    """A rational from a "p/q" string or a number; anything else, including
+    a zero denominator, is a ValueError that names where and the value."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise ValueError(f"{where}: expected a rational, got {type(x).__name__}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f'{where}: zero denominator in "{x}"') from None
+    except (ValueError, OverflowError):
+        raise ValueError(f"{where}: not a rational: {x!r}") from None
+
+
+def json_grid(rows, where):
+    """rows as a square JSON grid of [re, im] pairs of strings or numbers."""
+    for r, row in enumerate(json_list(rows, where)):
+        if len(json_list(row, f"{where}[{r}]")) != len(rows):
+            raise ValueError(f"{where}: expected a square grid")
+        for c, p in enumerate(row):
+            if not (isinstance(p, list) and len(p) == 2 and
+                    all(isinstance(x, (str, int, float)) and not isinstance(x, bool)
+                        for x in p)):
+                raise ValueError(f"{where}[{r}][{c}]: expected a [re, im] pair")
+    return rows
 
 
 def json_grids_exact(grids) -> bool:
     """Whether JSON grids of [re, im] pairs read as exact: only when every
     entry of every grid is a pair of "p/q" strings, so that one input is
-    never part exact and part float."""
+    never part exact and part float.  The grids must have passed json_grid."""
     return all(isinstance(p[0], str) and isinstance(p[1], str)
                for rows in grids for row in rows for p in row)
 
 
-def grid_from_json(rows, exact):
-    """A JSON grid of [re, im] pairs as a CRat grid, or a complex array."""
+def grid_from_json(rows, exact, where="entries"):
+    """A checked JSON grid (json_grid) as a CRat grid, or a complex array."""
+    def at(r, c):
+        return f"{where}[{r}][{c}]"
+
     if exact:
-        return mat([[CRat(Fraction(p[0]), Fraction(p[1])) for p in row] for row in rows])
-    return np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows],
-                    dtype=complex)
+        return mat([[CRat(parse_fraction(p[0], at(r, c)), parse_fraction(p[1], at(r, c)))
+                     for c, p in enumerate(row)] for r, row in enumerate(rows)])
+    try:
+        return np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows],
+                        dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def tensor(a, b) -> BipartiteOperator:

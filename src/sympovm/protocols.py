@@ -5,6 +5,15 @@ terms (Alice factor (x) Bob factor), every factor PSD.  Twirling the
 physical outcome operators must reproduce the target coefficient vectors
 exactly; that check is `verify_protocol`.
 
+Exact verification never builds a d^2 x d^2 operator.  The twirl of a
+product term w A (x) B needs only d x d invariants of its factors:
+tr(A (x) B) = trA trB, tr(F A (x) B) = tr(AB) and tr(P+ A (x) B) =
+tr(AB^T)/d, and a Bell projector (1 (x) s) Phi+ (1 (x) s)^dagger gives
+tr(A (s^dagger B s)^T)/2.  Completeness is a sparse sum over the nonzero
+factor entries.  The dense route, `LocalProtocol.outcome_operator` twirled
+by `symmetry.twirl_coefficients`, stays as the independent oracle of the
+tests and the acceptance checks.
+
 Pure-state sets carry unnormalised Gaussian-rational amplitude vectors
 with their squared norm, so projectors (and hence every protocol
 operator) stay exactly rational even though the normalised amplitudes
@@ -16,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +37,10 @@ from .operators import (
     CRat,
     cr,
     grid_from_json,
+    json_grid,
     json_grids_exact,
+    json_list,
+    json_object,
     ketbra,
     mat,
     mat_add,
@@ -36,14 +49,15 @@ from .operators import (
     mat_kron,
     mat_scale,
     mat_sub,
-    mat_to_numpy,
+    parse_fraction,
     psd_exact,
 )
 from .symmetry import (
     CoeffVector,
     Family,
     SymmetryKind,
-    twirl_coefficients,
+    basis_traces,
+    kind_from_json,
     twirl_coefficients_float,
 )
 
@@ -73,6 +87,15 @@ class LocalProtocol:
     kind: SymmetryKind
     outcomes: tuple  # of tuple[ProductTerm, ...]; an empty tuple is the zero outcome
 
+    def __post_init__(self):
+        d = self.kind.dim
+        for k, terms in enumerate(self.outcomes):
+            for n, t in enumerate(terms):
+                for name, g in (("a", t.a_factor), ("b", t.b_factor)):
+                    if len(g) != d or any(len(row) != d for row in g):
+                        raise ValueError(f"outcome {k}, term {n}: factor {name} "
+                                         f"is not {d}x{d}")
+
     @property
     def exact(self) -> bool:
         return all(t.exact for terms in self.outcomes for t in terms)
@@ -91,6 +114,45 @@ class LocalProtocol:
             op = op + BipartiteOperator(d, mat_kron(t.a_factor, t.b_factor)).scale(t.weight)
         return op
 
+    def outcome_coefficients(self, k) -> CoeffVector:
+        """The twirl of outcome k from d x d invariants of its product terms.
+
+        Equals twirl_coefficients(self.outcome_operator(k), self.kind)
+        exactly, and raises the same error when a basis trace is not real.
+        """
+        if not self.exact:
+            raise ValueError("outcome_coefficients requires an exact protocol")
+        traces = _projector_traces(self.outcomes[k], self.kind)
+        if any(tr.im for tr in traces):
+            raise ValueError("operator trace against basis projector is not real")
+        return CoeffVector(self.kind, tuple(tr.re / n for tr, n in
+                                            zip(traces, basis_traces(self.kind))))
+
+    def resolves_identity(self) -> bool:
+        """Whether the outcome operators sum to the identity, exactly.
+
+        Accumulates w A[i][k] B[j][l] at ((i d + j), (k d + l)) over the
+        nonzero factor entries only.
+        """
+        if not self.exact:
+            raise ValueError("resolves_identity requires an exact protocol")
+        d = self.kind.dim
+        acc = {}
+        for terms in self.outcomes:
+            for t in terms:
+                bnz = [(j, l, y) for j, row in enumerate(t.b_factor)
+                       for l, y in enumerate(row) if y]
+                for i, row in enumerate(t.a_factor):
+                    for k, x in enumerate(row):
+                        if not x:
+                            continue
+                        wx = x * t.weight
+                        for j, l, y in bnz:
+                            key = (i * d + j, k * d + l)
+                            acc[key] = acc.get(key, CR0) + wx * y
+        return all(acc.get((r, r), CR0) == 1 for r in range(d * d)) and \
+            all(not v for (r, c), v in acc.items() if r != c)
+
     def to_json(self) -> dict:
         def factor_json(g):
             if isinstance(g, np.ndarray):
@@ -107,18 +169,77 @@ class LocalProtocol:
 
     @classmethod
     def from_json(cls, obj) -> "LocalProtocol":
-        """Read the whole file in one mode: exact only when every factor is."""
-        from .symmetry import kind as mk
+        """Read the whole file in one mode: exact only when every factor is.
 
-        k = mk(obj["twirl"], int(obj["dim"]))
-        exact = json_grids_exact([t[f]["entries"] for terms in obj["outcomes"]
+        A wrong shape or value is a ValueError naming its field.
+        """
+        json_object(obj, "twirl", "dim", "outcomes")
+        k = kind_from_json(obj, "twirl")
+        outcomes = [json_list(terms, f"outcomes[{i}]")
+                    for i, terms in enumerate(json_list(obj["outcomes"], "outcomes"))]
+        for i, terms in enumerate(outcomes):
+            for n, t in enumerate(terms):
+                where = f"outcomes[{i}][{n}]"
+                json_object(t, "w", "a", "b", where=where)
+                for f in "ab":
+                    json_object(t[f], "entries", where=f"{where}.{f}")
+                    json_grid(t[f]["entries"], f"{where}.{f}.entries")
+        exact = json_grids_exact([t[f]["entries"] for terms in outcomes
                                   for t in terms for f in "ab"])
 
-        def term(t):
-            return ProductTerm(Fraction(t["w"]), grid_from_json(t["a"]["entries"], exact),
-                               grid_from_json(t["b"]["entries"], exact))
+        def term(where, t):
+            return ProductTerm(parse_fraction(t["w"], f"{where}.w"),
+                               *(grid_from_json(t[f]["entries"], exact, f"{where}.{f}.entries")
+                                 for f in "ab"))
 
-        return cls(k, tuple(tuple(term(t) for t in terms) for terms in obj["outcomes"]))
+        return cls(k, tuple(tuple(term(f"outcomes[{i}][{n}]", t) for n, t in enumerate(terms))
+                            for i, terms in enumerate(outcomes)))
+
+
+_HALF = Fraction(1, 2)
+
+# Bell projector i is (1 (x) s) Phi+ (1 (x) s)^dagger with s = X, XZ, 1, Z.  Each
+# s is a signed permutation whose column j is sign[j] |perm[j]>, so
+# (s^dagger B s)[i][j] = sign[i] sign[j] B[perm[i]][perm[j]].
+_BELL_CONJUGATIONS = (((1, 0), (1, 1)), ((1, 0), (1, -1)),
+                      ((0, 1), (1, 1)), ((0, 1), (1, -1)))
+
+
+def _projector_traces(terms, k: SymmetryKind):
+    """tr(Pi_i sum_t w A (x) B) for each commutant projector Pi_i, in basis
+    order, from the d x d invariants of the product terms."""
+    d = k.dim
+    bell = k.family is Family.BELL
+    # bell: tr(A (s^dagger B s)^T) per projector; else trA trB, tr(AB), tr(AB^T)
+    sums = [CR0] * (4 if bell else 3)
+    for t in terms:
+        a, b = t.a_factor, t.b_factor
+        nz = [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not t.weight or not nz:
+            continue
+        if bell:
+            parts = []
+            for perm, sign in _BELL_CONJUGATIONS:
+                s = CR0
+                for i, j, x in nz:
+                    y = b[perm[i]][perm[j]]
+                    if y:
+                        s = s + x * y if sign[i] == sign[j] else s - x * y
+                parts.append(s)
+        else:
+            parts = (sum((x for i, j, x in nz if i == j), CR0) *
+                     sum((b[i][i] for i in range(d)), CR0),
+                     sum((x * b[j][i] for i, j, x in nz if b[j][i]), CR0),
+                     sum((x * b[i][j] for i, j, x in nz if b[i][j]), CR0))
+        sums = [acc + p * t.weight for acc, p in zip(sums, parts)]
+    if bell:
+        return [s * _HALF for s in sums]
+    tot, swap, plus = sums
+    p = plus / d
+    if k.family is Family.ISOTROPIC:
+        return [p, tot - p]
+    anti, sym = (tot - swap) * _HALF, (tot + swap) * _HALF
+    return [anti, sym] if k.family is Family.WERNER else [p, anti, sym - p]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +298,7 @@ def cube_rotation_group():
     return mats
 
 
+@lru_cache(maxsize=None)
 def build_pure_state_set(d: int) -> PureStateSet:
     """Weighted states with sum_q w_q |q><q| = 1 and sum_j amp_j^2 = 0.
 
@@ -185,6 +307,7 @@ def build_pure_state_set(d: int) -> PureStateSet:
     the same on all but the last three levels, which carry the 24-state
     orbit of (|r> + i|s>)/sqrt 2 under the cube rotation group (weight
     1/8, a Schur average over an irreducible real representation).
+    Built and validated once per d; the set is immutable.
     """
     if d < 2:
         raise ValueError("need local dimension d >= 2")
@@ -282,8 +405,6 @@ def werner_protocol(target: SymPovm) -> LocalProtocol:
 
 # ---------------------------------------------------------------------------
 # bell protocols: product-basis projector sums
-
-_HALF = Fraction(1, 2)
 
 
 def _qubit_basis(name):
@@ -470,8 +591,12 @@ def verify_protocol(protocol: LocalProtocol, target: SymPovm,
     """Twirl each outcome and compare against the target, exactly.
 
     Also checks that the untwirled outcomes resolve the identity and that
-    every factor is PSD with nonnegative weight.  Float-mode protocols are
-    compared within eps instead.
+    every factor is PSD with nonnegative weight.  An exact protocol is
+    checked from local invariants of its product terms
+    (`LocalProtocol.outcome_coefficients`, `LocalProtocol.resolves_identity`)
+    and no d^2 x d^2 operator is built; the dense twirl of
+    `outcome_operator` is the oracle they are tested against.  Float-mode
+    protocols are twirled densely and compared within eps instead.
     """
     if protocol.kind != target.kind:
         raise ValueError("protocol and target symmetry kinds differ")
@@ -493,16 +618,13 @@ def verify_protocol(protocol: LocalProtocol, target: SymPovm,
     outcomes_ok = []
     diffs = []
     if exact:
-        total = BipartiteOperator.zeros(d)
         for k, e in enumerate(target.elements):
-            op = protocol.outcome_operator(k)
-            total = total + op
-            got = twirl_coefficients(op, protocol.kind)
+            got = protocol.outcome_coefficients(k)
             diff = tuple(g - t for g, t in zip(got.coeffs, e.coeffs))
             ok = not any(diff)
             outcomes_ok.append(ok)
             diffs.append(None if ok else diff)
-        complete = total == BipartiteOperator.identity(d)
+        complete = protocol.resolves_identity()
     else:
         total = np.zeros((d * d, d * d), dtype=complex)
         for k, e in enumerate(target.elements):

@@ -27,14 +27,10 @@ from .operators import (
     BipartiteOperator,
     CRat,
     maximally_entangled_projector,
-    mat,
-    mat_add,
     mat_dagger,
-    mat_eq,
     mat_kron,
     mat_mul,
-    mat_scale,
-    mat_sub,
+    parse_int,
     partial_transpose,
     swap_operator,
 )
@@ -73,6 +69,15 @@ def kind(family, dim=2) -> SymmetryKind:
     if isinstance(family, str):
         family = Family(family.lower())
     return SymmetryKind(family, dim)
+
+
+def kind_from_json(obj, family_key="family") -> SymmetryKind:
+    """The kind named by the fields family_key and "dim" of a JSON object."""
+    fam = obj[family_key]
+    names = [f.value for f in Family]
+    if not isinstance(fam, str) or fam.lower() not in names:
+        raise ValueError(f"{family_key}: expected one of {', '.join(names)}, got {fam!r}")
+    return kind(fam, parse_int(obj["dim"], "dim"))
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ class CoeffVector:
 
     @classmethod
     def from_json(cls, obj) -> "CoeffVector":
-        k = kind(obj["family"], int(obj["dim"]))
+        k = kind_from_json(obj)
         return cls(k, tuple(Fraction(c) for c in obj["coeffs"]))
 
 
@@ -151,6 +156,18 @@ def _bell_projectors():
     return tuple(out)
 
 
+def basis_traces(k: SymmetryKind) -> tuple:
+    """Traces of the commutant projectors, in basis order."""
+    d = k.dim
+    if k.family is Family.ISOTROPIC:
+        return (1, d * d - 1)
+    if k.family is Family.WERNER:
+        return (d * (d - 1) // 2, d * (d + 1) // 2)
+    if k.family is Family.BELL:
+        return (1, 1, 1, 1)
+    return (1, d * (d - 1) // 2, (d + 2) * (d - 1) // 2)
+
+
 @lru_cache(maxsize=None)
 def commutant_basis(k: SymmetryKind) -> CommutantBasis:
     """Canonical projector basis for a family; validated on first build."""
@@ -159,23 +176,14 @@ def commutant_basis(k: SymmetryKind) -> CommutantBasis:
     plus = maximally_entangled_projector(d)
     if k.family is Family.ISOTROPIC:
         projs = (plus, ident - plus)
-        traces = (1, d * d - 1)
-    elif k.family is Family.WERNER:
-        f = swap_operator(d)
-        pa = (ident - f).scale(Fraction(1, 2))
-        ps = (ident + f).scale(Fraction(1, 2))
-        projs = (pa, ps)
-        traces = (d * (d - 1) // 2, d * (d + 1) // 2)
     elif k.family is Family.BELL:
         projs = _bell_projectors()
-        traces = (1, 1, 1, 1)
     else:
         f = swap_operator(d)
         pa = (ident - f).scale(Fraction(1, 2))
         ps = (ident + f).scale(Fraction(1, 2))
-        projs = (plus, pa, ps - plus)
-        traces = (1, d * (d - 1) // 2, (d + 2) * (d - 1) // 2)
-    basis = CommutantBasis(k, projs, traces)
+        projs = (pa, ps) if k.family is Family.WERNER else (plus, pa, ps - plus)
+    basis = CommutantBasis(k, projs, basis_traces(k))
     _validate_basis(basis)
     return basis
 

@@ -188,17 +188,43 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["vertices", "--family", "nope", "--outcomes", "2"])
     assert exc.value.code == 2
+    capsys.readouterr()
     zero_den = tmp_path / "zero-den.json"
     zero_den.write_text(json.dumps({"family": "isotropic", "dim": 2,
                                     "elements": [["1", "1/0"], ["0", "1"]]}))
     code, _, err = run(capsys, "check", "--povm", str(zero_den))
-    assert code == 2 and "error:" in err
+    assert code == 2
+    assert err == f'error: {zero_den}: elements[0][1]: zero denominator in "1/0"\n'
     states = tmp_path / "states.json"
     states.write_text(json.dumps({"family": "isotropic", "dim": 2,
                                   "states": [["1", "0"], ["0", "1"]]}))
     code, _, err = run(capsys, "discriminate", "--states", str(states),
                        "--priors", "1/0,1")
-    assert code == 2 and "error:" in err
+    assert code == 2
+    assert err == 'error: --priors: zero denominator in "1/0"\n'
+    # a file of the wrong shape names the file and the field, with no traceback
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"family": "isotropic", "dim": 2, "elements": [["1", "1"]]}))
+    elements5 = tmp_path / "elements5.json"
+    elements5.write_text(json.dumps({"family": "isotropic", "dim": 2, "elements": 5}))
+    cases = [
+        (("check", "--povm", listed), listed, "expected a JSON object"),
+        (("decompose", "--povm", listed), listed, "expected a JSON object"),
+        (("protocol-verify", "--protocol", listed, "--target", target), listed,
+         "expected a JSON object with fields twirl, dim, outcomes"),
+        (("protocol-synth", "--family", "isotropic", "--dim", "2", "--target", listed),
+         listed, "expected a JSON object"),
+        (("discriminate", "--states", listed), listed,
+         "expected a JSON object with fields family, dim, states"),
+        (("check", "--povm", elements5), elements5, "elements: expected a list"),
+    ]
+    for argv, path, message in cases:
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and message in err, err
 
 
 def test_protocol_synth_ppt_violating_target_exits_1(tmp_path, capsys):

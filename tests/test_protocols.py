@@ -5,11 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympovm.extremal import catalog_extrema, oo_three_outcome_elements, oo_two_outcome_elements
 from sympovm.feasible import SymPovm
 from sympovm.operators import (
+    CR0,
     BipartiteOperator,
+    CRat,
     is_psd,
     ketbra,
     kraus_from_separable_form,
@@ -299,3 +303,152 @@ def test_float_protocol_verifies_within_eps():
     floaty = LocalProtocol.from_json(blob)
     assert not floaty.exact
     assert verify_protocol(floaty, target, eps=1e-9).ok
+
+
+# ---------------------------------------------------------------------------
+# the invariant route of verify_protocol against the dense route
+
+def dense_coefficients(proto, k):
+    return twirl_coefficients(proto.outcome_operator(k), proto.kind)
+
+
+def dense_complete(proto):
+    d = proto.kind.dim
+    total = BipartiteOperator.zeros(d)
+    for k in range(len(proto.outcomes)):
+        total = total + proto.outcome_operator(k)
+    return total == BipartiteOperator.identity(d)
+
+
+def route_result(route, proto, k):
+    try:
+        return route(proto, k).coeffs
+    except ValueError as exc:
+        return str(exc)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                             max_examples=60)
+KINDS = [kind(f, d) for f in ("isotropic", "werner", "oo") for d in (2, 3, 4)] + \
+    [kind("bell", 2)]
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+entries = st.one_of(st.just(CR0), st.builds(CRat, small_rationals, small_rationals))
+
+
+@st.composite
+def factors(draw, d, hermitian):
+    g = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    if hermitian:
+        g = [[g[i][j] + g[j][i].conjugate() for j in range(d)] for i in range(d)]
+    return tuple(tuple(row) for row in g)
+
+
+@st.composite
+def random_protocols(draw, hermitian):
+    """Protocols with random Gaussian-rational factors and random weights;
+    with hermitian=None each factor is Hermitian or not at random."""
+    k = draw(st.sampled_from(KINDS))
+
+    def factor():
+        herm = draw(st.booleans()) if hermitian is None else hermitian
+        return draw(factors(k.dim, herm))
+
+    outcomes = tuple(
+        tuple(ProductTerm(draw(small_rationals), factor(), factor())
+              for _ in range(draw(st.integers(0, 3))))
+        for _ in range(draw(st.integers(1, 3))))
+    return LocalProtocol(k, outcomes)
+
+
+@given(random_protocols(hermitian=True))
+@PROPERTY_SETTINGS
+def test_invariant_coefficients_match_dense_twirl(proto):
+    for k in range(len(proto.outcomes)):
+        assert proto.outcome_coefficients(k) == dense_coefficients(proto, k)
+
+
+@given(random_protocols(hermitian=None))
+@PROPERTY_SETTINGS
+def test_both_routes_reject_non_real_traces_together(proto):
+    for k in range(len(proto.outcomes)):
+        assert route_result(LocalProtocol.outcome_coefficients, proto, k) == \
+            route_result(dense_coefficients, proto, k)
+    assert proto.resolves_identity() == dense_complete(proto)
+
+
+@st.composite
+def complete_protocols(draw):
+    """Synthesised protocols, which resolve the identity, of every family."""
+    fam = draw(st.sampled_from(["isotropic", "werner", "bell", "oo"]))
+    if fam in ("isotropic", "werner"):
+        k = kind(fam, draw(st.integers(2, 4)))
+        target = random_feasible_target(random.Random(draw(st.integers(0, 999))), k,
+                                        draw(st.integers(1, 3)))
+        return (isotropic_protocol if fam == "isotropic" else werner_protocol)(target)
+    k = kind("bell", 2) if fam == "bell" else kind("oo", draw(st.integers(3, 4)))
+    povms = catalog_extrema(k, draw(st.integers(2, 3))).ordered_povms()
+    return protocol_for_vertex(draw(st.sampled_from(povms)))
+
+
+@st.composite
+def perturbed_protocols(draw):
+    """A complete protocol with one factor entry moved by a nonzero amount."""
+    proto = draw(complete_protocols())
+    k = draw(st.sampled_from([k for k, terms in enumerate(proto.outcomes) if terms]))
+    n = draw(st.integers(0, len(proto.outcomes[k]) - 1))
+    i, j = draw(st.integers(0, proto.kind.dim - 1)), draw(st.integers(0, proto.kind.dim - 1))
+    delta = draw(st.builds(CRat, small_rationals, small_rationals).filter(bool))
+    t = proto.outcomes[k][n]
+    on_a = draw(st.booleans())
+    grid = [list(row) for row in (t.a_factor if on_a else t.b_factor)]
+    grid[i][j] = grid[i][j] + delta
+    grid = tuple(tuple(row) for row in grid)
+    term = ProductTerm(t.weight, grid, t.b_factor) if on_a else \
+        ProductTerm(t.weight, t.a_factor, grid)
+    terms = proto.outcomes[k][:n] + (term,) + proto.outcomes[k][n + 1:]
+    return LocalProtocol(proto.kind, proto.outcomes[:k] + (terms,) + proto.outcomes[k + 1:])
+
+
+@given(complete_protocols())
+@PROPERTY_SETTINGS
+def test_sparse_completeness_of_synthesised_protocols(proto):
+    assert proto.resolves_identity() and dense_complete(proto)
+
+
+@given(perturbed_protocols())
+@PROPERTY_SETTINGS
+def test_sparse_completeness_matches_dense_after_a_perturbation(proto):
+    assert proto.resolves_identity() == dense_complete(proto)
+
+
+def test_oo_triple_d8_verifies_from_invariants():
+    # the dense route needs 64 x 64 operators here and does not fit tier-1 time
+    d = 8
+    k = kind("oo", d)
+    target = SymPovm(k, tuple(CoeffVector(k, c) for c in oo_three_outcome_elements(d)))
+    proto = oo_protocol("triple", d)
+    report = verify_protocol(proto, target)
+    assert report.ok and report.complete and report.factors_psd
+    t = proto.outcomes[1][0]
+    corrupted = LocalProtocol(k, (proto.outcomes[0],
+                                  (ProductTerm(t.weight / 2, t.a_factor, t.b_factor),) +
+                                  proto.outcomes[1][1:], proto.outcomes[2]))
+    report = verify_protocol(corrupted, target)
+    assert not report.ok and not report.complete
+    assert report.outcomes_ok == (True, False, True)
+
+
+def test_exact_verification_builds_no_dense_operator(monkeypatch):
+    target = SymPovm(kind("oo", 3), tuple(CoeffVector(kind("oo", 3), c)
+                                          for c in oo_three_outcome_elements(3)))
+    proto = oo_protocol("triple", 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    monkeypatch.setattr(BipartiteOperator, "__init__", refuse)
+    assert verify_protocol(proto, target).ok
+
+
+def test_pure_state_set_is_built_once_per_dimension():
+    assert build_pure_state_set(5) is build_pure_state_set(5)
