@@ -40,7 +40,7 @@ from .protocols import (
     verify_protocol,
     werner_protocol,
 )
-from .symmetry import CoeffVector, commutant_basis, kind, kind_from_json
+from .symmetry import CoeffVector, basis_traces, commutant_basis, kind, kind_from_json
 
 
 def _print_json(obj):
@@ -65,19 +65,33 @@ def _family_kind(args):
     return kind(args.family, args.dim)
 
 
+# The most exact scalars a dense command may hold: basis keeps n projector
+# grids of d^4 entries, state-set and protocol-synth about d local d x d
+# grids.  Every other command works on coefficient vectors and takes any dim.
+MAX_DENSE_ENTRIES = 2 ** 15
+
+
+def _dense_guard(d, entries):
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(f"dim {d} is too large for a dense build: about {entries} "
+                         f"exact entries, over the bound of {MAX_DENSE_ENTRIES}")
+
+
 def _csv_rows(rows):
     for row in rows:
         print(",".join(str(x) for x in row))
 
 
 def cmd_basis(args):
-    basis = commutant_basis(_family_kind(args))
+    k = _family_kind(args)
+    _dense_guard(k.dim, k.n_coeffs * k.dim ** 4)
+    basis = commutant_basis(k)
+    traces = basis_traces(k)
     if args.format == "csv":
-        _csv_rows([("index", "trace")] +
-                  [(i, t) for i, t in enumerate(basis.traces)])
+        _csv_rows([("index", "trace")] + list(enumerate(traces)))
     else:
-        _print_json({"family": basis.kind.family.value, "dim": basis.kind.dim,
-                     "traces": list(basis.traces),
+        _print_json({"family": k.family.value, "dim": k.dim,
+                     "traces": list(traces),
                      "projectors": [p.to_json() for p in basis.projectors]})
     return 0
 
@@ -144,6 +158,7 @@ def cmd_protocol_synth(args):
         if not args.target:
             raise ValueError("--target is required for isotropic/werner synthesis")
         target = _read(args.target, SymPovm.from_json)
+        _dense_guard(target.kind.dim, target.kind.dim ** 3)
         try:
             proto = isotropic_protocol(target) if k.family.value == "isotropic" \
                 else werner_protocol(target)
@@ -158,6 +173,7 @@ def cmd_protocol_synth(args):
     else:
         if not args.extremum:
             raise ValueError("--extremum (A|B|C|D|triple) is required for oo synthesis")
+        _dense_guard(k.dim, k.dim ** 3)
         proto = oo_protocol(args.extremum, args.dim)
     _print_json(proto.to_json())
     return 0
@@ -172,6 +188,7 @@ def cmd_protocol_verify(args):
 
 
 def cmd_state_set(args):
+    _dense_guard(args.dim, args.dim ** 3)
     _print_json(build_pure_state_set(args.dim).to_json())
     return 0
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from ._exactlin import frac
 from .extremal import catalog_extrema
 from .feasible import LinearProgram, SymPovm, build_feasible_polytope, lp_solve
-from .symmetry import SymmetryKind, twirl_coefficients
+from .symmetry import SymmetryKind, basis_traces, twirl_coefficients
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,8 @@ class StateCoeffs:
 
     @classmethod
     def from_operator(cls, rho, k: SymmetryKind) -> "StateCoeffs":
-        from .symmetry import commutant_basis
-
         coeffs = twirl_coefficients(rho, k).coeffs
-        traces = commutant_basis(k).traces
-        return cls(k, tuple(c * t for c, t in zip(coeffs, traces)))
+        return cls(k, tuple(c * t for c, t in zip(coeffs, basis_traces(k))))
 
     def to_json(self):
         return [str(w) for w in self.weights]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._exactlin import frac, pivot
-from .operators import json_list, json_object, parse_fraction
+from .operators import json_list, json_object
 from .symmetry import CoeffVector, SymmetryKind, kind_from_json, pt_coefficient_map
 
 
@@ -69,16 +69,8 @@ class SymPovm:
         """Read a POVM object; a wrong shape or value is a ValueError naming its field."""
         json_object(obj, "family", "dim", "elements")
         k = kind_from_json(obj)
-        rows = json_list(obj["elements"], "elements")
-        elems = []
-        for i, row in enumerate(rows):
-            where = f"elements[{i}]"
-            coeffs = tuple(parse_fraction(c, f"{where}[{j}]")
-                           for j, c in enumerate(json_list(row, where)))
-            if len(coeffs) != k.n_coeffs:
-                raise ValueError(f"{where}: {k.label()} expects {k.n_coeffs} coefficients")
-            elems.append(CoeffVector(k, coeffs))
-        return cls(k, tuple(elems))
+        return cls(k, tuple(CoeffVector.from_json_row(k, row, f"elements[{i}]")
+                            for i, row in enumerate(json_list(obj["elements"], "elements"))))
 
 
 def povm_from_coords(k: SymmetryKind, n_outcomes: int, coords) -> SymPovm:

@@ -8,10 +8,12 @@ exactly; that check is `verify_protocol`.
 Exact verification never builds a d^2 x d^2 operator.  The twirl of a
 product term w A (x) B needs only d x d invariants of its factors:
 tr(A (x) B) = trA trB, tr(F A (x) B) = tr(AB) and tr(P+ A (x) B) =
-tr(AB^T)/d, and a Bell projector (1 (x) s) Phi+ (1 (x) s)^dagger gives
-tr(A (s^dagger B s)^T)/2.  Completeness is a sparse sum over the nonzero
-factor entries.  The dense route, `LocalProtocol.outcome_operator` twirled
-by `symmetry.twirl_coefficients`, stays as the independent oracle of the
+tr(AB^T)/d, which `symmetry.projector_traces` turns into projector traces
+through the family's commutant table; a Bell projector
+(1 (x) s) Phi+ (1 (x) s)^dagger gives tr(A (s^dagger B s)^T)/2.
+Completeness is a sparse sum over the nonzero factor entries.  The dense
+route, `LocalProtocol.outcome_operator` twirled by
+`symmetry.twirl_coefficients`, stays as the independent oracle of the
 tests and the acceptance checks.
 
 Pure-state sets carry unnormalised Gaussian-rational amplitude vectors
@@ -58,6 +60,7 @@ from .symmetry import (
     SymmetryKind,
     basis_traces,
     kind_from_json,
+    projector_traces,
     twirl_coefficients_float,
 )
 
@@ -235,11 +238,7 @@ def _projector_traces(terms, k: SymmetryKind):
     if bell:
         return [s * _HALF for s in sums]
     tot, swap, plus = sums
-    p = plus / d
-    if k.family is Family.ISOTROPIC:
-        return [p, tot - p]
-    anti, sym = (tot - swap) * _HALF, (tot + swap) * _HALF
-    return [anti, sym] if k.family is Family.WERNER else [p, anti, sym - p]
+    return projector_traces(k, (tot, swap, plus / d))
 
 
 # ---------------------------------------------------------------------------

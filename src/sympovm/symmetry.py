@@ -11,6 +11,13 @@ canonically ordered projector basis:
   oo         (O (x) O):     ( |+><+| , (1-F)/2 , (1+F)/2 - |+><+| )
 
 The basis order is part of every file format and is never permuted.
+
+Every projector but Bell's is written once, as coordinates on (1, F, P+)
+in `_PROJECTOR_COORDS`.  Projector traces, the twirl from (tr X, tr FX,
+tr P+X) and the PT maps (PT(F) = d P+, PT(P+) = F/d; Vollbrecht & Werner,
+PRA 64, 062307, 2001) follow from it in closed form.  The dense projectors
+of `commutant_basis` remain for `sympovm basis`, float mode and the
+oracle (`coeff_to_operator`, `twirl_coefficients`) of the tests.
 """
 
 from __future__ import annotations
@@ -26,12 +33,14 @@ from .operators import (
     CR1,
     BipartiteOperator,
     CRat,
+    json_list,
+    json_object,
     maximally_entangled_projector,
     mat_dagger,
     mat_kron,
     mat_mul,
+    parse_fraction,
     parse_int,
-    partial_transpose,
     swap_operator,
 )
 
@@ -84,7 +93,6 @@ def kind_from_json(obj, family_key="family") -> SymmetryKind:
 class CommutantBasis:
     kind: SymmetryKind
     projectors: tuple  # of BipartiteOperator
-    traces: tuple  # of int
 
 
 @dataclass(frozen=True)
@@ -122,16 +130,23 @@ class CoeffVector:
 
     @classmethod
     def from_json(cls, obj) -> "CoeffVector":
-        k = kind_from_json(obj)
-        return cls(k, tuple(Fraction(c) for c in obj["coeffs"]))
+        """Read a coefficient object; a wrong shape or value is a ValueError
+        naming its field."""
+        json_object(obj, "family", "dim", "coeffs")
+        return cls.from_json_row(kind_from_json(obj), obj["coeffs"], "coeffs")
+
+    @classmethod
+    def from_json_row(cls, k: SymmetryKind, row, where) -> "CoeffVector":
+        """The coefficients of kind k in the JSON list row, found at where."""
+        coeffs = tuple(parse_fraction(c, f"{where}[{j}]")
+                       for j, c in enumerate(json_list(row, where)))
+        if len(coeffs) != k.n_coeffs:
+            raise ValueError(f"{where}: {k.label()} expects {k.n_coeffs} coefficients")
+        return cls(k, coeffs)
 
 
 def all_ones(k: SymmetryKind) -> CoeffVector:
     return CoeffVector(k, (Fraction(1),) * k.n_coeffs)
-
-
-def zero_vector(k: SymmetryKind) -> CoeffVector:
-    return CoeffVector(k, (Fraction(0),) * k.n_coeffs)
 
 
 def _check_same_kind(a: SymmetryKind, b: SymmetryKind):
@@ -140,32 +155,50 @@ def _check_same_kind(a: SymmetryKind, b: SymmetryKind):
 
 
 def _bell_projectors():
-    # unnormalised Bell vectors; projector = v v† / 2
-    vecs = {
-        "psi+": (0, 1, 1, 0),
-        "psi-": (0, 1, -1, 0),
-        "phi+": (1, 0, 0, 1),
-        "phi-": (1, 0, 0, -1),
-    }
+    # psi+, psi-, phi+, phi- as unnormalised Bell vectors v; projector = v v† / 2
     half = CRat(Fraction(1, 2))
-    out = []
-    for name in ("psi+", "psi-", "phi+", "phi-"):
-        v = vecs[name]
-        grid = [[half * CRat(v[r] * v[c]) for c in range(4)] for r in range(4)]
-        out.append(BipartiteOperator(2, grid))
-    return tuple(out)
+    return tuple(BipartiteOperator(2, [[half * CRat(v[r] * v[c]) for c in range(4)]
+                                       for r in range(4)])
+                 for v in ((0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 1), (1, 0, 0, -1)))
 
 
+_HALF = Fraction(1, 2)
+
+# Each commutant projector as coordinates on (1, F, P+), in basis order.
+_PROJECTOR_COORDS = {
+    Family.ISOTROPIC: ((0, 0, 1), (1, 0, -1)),
+    Family.WERNER: ((_HALF, -_HALF, 0), (_HALF, _HALF, 0)),
+    Family.OO: ((0, 0, 1), (_HALF, -_HALF, 0), (_HALF, _HALF, -1)),
+}
+
+# PT(Pi_j) = 1/2 - Pi_(3-j) for the Bell projectors.
+_BELL_PT = tuple(tuple(-_HALF if i + j == 3 else _HALF for j in range(4))
+                 for i in range(4))
+
+# The isotropic and werner PT maps cross families; the others stay in theirs.
+_PT_TARGET = {Family.ISOTROPIC: Family.WERNER, Family.WERNER: Family.ISOTROPIC}
+
+
+def _invariants(d, x):
+    """(tr X, tr FX, tr P+X) of X = x0 1 + x1 F + x2 P+: the trace pairings
+    of (1, F, P+) are [[d^2, d, 1], [d, d^2, 1], [1, 1, 1]]."""
+    a, b, c = x
+    return (d * d * a + d * b + c, d * a + d * d * b + c, a + b + c)
+
+
+def projector_traces(k: SymmetryKind, invariants) -> list:
+    """tr(Pi_i X) for each commutant projector Pi_i, in basis order, from
+    invariants = (tr X, tr FX, tr P+X).  Not for the Bell family."""
+    return [sum(x * c for c, x in zip(row, invariants) if c)
+            for row in _PROJECTOR_COORDS[k.family]]
+
+
+@lru_cache(maxsize=None)
 def basis_traces(k: SymmetryKind) -> tuple:
     """Traces of the commutant projectors, in basis order."""
-    d = k.dim
-    if k.family is Family.ISOTROPIC:
-        return (1, d * d - 1)
-    if k.family is Family.WERNER:
-        return (d * (d - 1) // 2, d * (d + 1) // 2)
     if k.family is Family.BELL:
         return (1, 1, 1, 1)
-    return (1, d * (d - 1) // 2, (d + 2) * (d - 1) // 2)
+    return tuple(int(t) for t in projector_traces(k, _invariants(k.dim, (1, 0, 0))))
 
 
 @lru_cache(maxsize=None)
@@ -183,24 +216,20 @@ def commutant_basis(k: SymmetryKind) -> CommutantBasis:
         pa = (ident - f).scale(Fraction(1, 2))
         ps = (ident + f).scale(Fraction(1, 2))
         projs = (pa, ps) if k.family is Family.WERNER else (plus, pa, ps - plus)
-    basis = CommutantBasis(k, projs, basis_traces(k))
+    basis = CommutantBasis(k, projs)
     _validate_basis(basis)
     return basis
 
 
 def _validate_basis(basis: CommutantBasis):
-    projs = basis.projectors
-    total = BipartiteOperator.zeros(basis.kind.dim)
-    for i, p in enumerate(projs):
-        if p.trace() != basis.traces[i]:
-            raise AssertionError("projector trace mismatch")
-        for j, q in enumerate(projs):
-            prod = p @ q
-            expect = p if i == j else BipartiteOperator.zeros(basis.kind.dim)
-            if prod != expect:
-                raise AssertionError("commutant projectors are not orthogonal")
-        total = total + p
-    if total != BipartiteOperator.identity(basis.kind.dim):
+    projs, d = basis.projectors, basis.kind.dim
+    zero = BipartiteOperator.zeros(d)
+    if tuple(p.trace() for p in projs) != basis_traces(basis.kind):
+        raise AssertionError("projector trace mismatch")
+    if any(p @ q != (p if i == j else zero)
+           for i, p in enumerate(projs) for j, q in enumerate(projs)):
+        raise AssertionError("commutant projectors are not orthogonal")
+    if sum(projs[1:], projs[0]) != BipartiteOperator.identity(d):
         raise AssertionError("commutant projectors do not resolve the identity")
 
 
@@ -225,7 +254,7 @@ def twirl_coefficients(m: BipartiteOperator, k: SymmetryKind) -> CoeffVector:
     if m.dim != k.dim:
         raise ValueError("dimension mismatch")
     coeffs = []
-    for p, t in zip(basis.projectors, basis.traces):
+    for p, t in zip(basis.projectors, basis_traces(k)):
         tr = (m @ p).trace()
         if tr.im:
             raise ValueError("operator trace against basis projector is not real")
@@ -237,11 +266,8 @@ def twirl_coefficients_float(arr, k: SymmetryKind):
     """Float-mode twirl: list of floats, no exactness guarantees."""
     import numpy as np
 
-    basis = commutant_basis(k)
-    out = []
-    for p, t in zip(basis.projectors, basis.traces):
-        out.append(float(np.real(np.trace(np.asarray(arr) @ p.to_numpy()))) / t)
-    return out
+    return [float(np.real(np.trace(np.asarray(arr) @ p.to_numpy()))) / t
+            for p, t in zip(commutant_basis(k).projectors, basis_traces(k))]
 
 
 _PAULIS = {
@@ -250,11 +276,6 @@ _PAULIS = {
     "y": ((CR0, CRat(0, -1)), (CRat(0, 1), CR0)),
     "z": ((CR1, CR0), (CR0, CRat(-1))),
 }
-
-
-def pauli(name: str):
-    """2x2 Pauli grid by name: i, x, y, z."""
-    return _PAULIS[name]
 
 
 def bell_group_average(m: BipartiteOperator) -> BipartiteOperator:
@@ -267,7 +288,7 @@ def bell_group_average(m: BipartiteOperator) -> BipartiteOperator:
         raise ValueError("Bell group average is defined for d = 2")
     acc = BipartiteOperator.zeros(2)
     for name in ("i", "x", "y", "z"):
-        s = pauli(name)
+        s = _PAULIS[name]
         u = mat_kron(s, s)
         conj = mat_mul(mat_mul(u, m.entries), mat_dagger(u))
         acc = acc + BipartiteOperator(2, conj)
@@ -279,8 +300,7 @@ class PTMap:
     """Coefficient action of partial transposition, source basis to target.
 
     matrix columns are the target-basis coefficient vectors of the
-    partially transposed source projectors; validated operator-level at
-    construction.
+    partially transposed source projectors.
     """
 
     source: SymmetryKind
@@ -305,47 +325,26 @@ class PTMap:
         return PTMap(other.source, self.target, tuple(tuple(r) for r in prod))
 
 
-def oo_pt_matrix(d: int):
-    """The 3x3 partial-transpose matrix for the oo family."""
-    h = Fraction(1, 2 * d)
-    return (
-        (2 * h, d * (1 - d) * h, (d + 2) * (d - 1) * h),
-        (-2 * h, d * h, (d + 2) * h),
-        (2 * h, d * h, (d - 2) * h),
-    )
-
-
 @lru_cache(maxsize=None)
 def pt_coefficient_map(k: SymmetryKind) -> PTMap:
-    """PT map for a source family (isotropic <-> werner are cross-family)."""
-    if k.family is Family.ISOTROPIC:
-        target = SymmetryKind(Family.WERNER, k.dim)
-    elif k.family is Family.WERNER:
-        target = SymmetryKind(Family.ISOTROPIC, k.dim)
+    """PT map for a source family (isotropic <-> werner are cross-family).
+
+    PT fixes 1 and swaps F and d P+, so the PT of a projector with
+    coordinates (a, b, c) has coordinates (a, c/d, b d); its target-basis
+    coefficients are its projector traces over the projector ranks.
+    """
+    target = SymmetryKind(_PT_TARGET.get(k.family, k.family), k.dim)
+    if k.family is Family.BELL:
+        matrix = _BELL_PT
     else:
-        target = k
-    if k.family is Family.OO:
-        matrix = oo_pt_matrix(k.dim)
-    else:
+        d = k.dim
+        ranks = basis_traces(target)
         cols = []
-        for p in commutant_basis(k).projectors:
-            cols.append(twirl_coefficients(partial_transpose(p), target).coeffs)
-        matrix = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                       for i in range(target.n_coeffs))
+        for a, b, c in _PROJECTOR_COORDS[k.family]:
+            traces = projector_traces(target, _invariants(d, (a, Fraction(c, d), b * d)))
+            cols.append([Fraction(t) / n for t, n in zip(traces, ranks)])
+        matrix = tuple(tuple(col[i] for col in cols) for i in range(target.n_coeffs))
     m = PTMap(k, target, matrix)
-    _validate_pt_map(m)
-    return m
-
-
-def _validate_pt_map(m: PTMap):
-    n = m.source.n_coeffs
-    for i in range(n):
-        e = CoeffVector(m.source, tuple(Fraction(int(j == i)) for j in range(n)))
-        image = coeff_to_operator(m.apply(e))
-        direct = partial_transpose(coeff_to_operator(e))
-        if image != direct:
-            raise AssertionError(f"PT map for {m.source.label()} fails "
-                                 f"operator-level validation on projector {i}")
-    ones = m.apply(all_ones(m.source))
-    if any(c != 1 for c in ones.coeffs):
+    if any(c != 1 for c in m.apply(all_ones(k)).coeffs):
         raise AssertionError("PT map does not fix the identity")
+    return m

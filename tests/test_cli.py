@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from sympovm import cli
 from sympovm.cli import main
 from sympovm.feasible import SymPovm
 from sympovm.symmetry import CoeffVector, kind
@@ -254,9 +259,10 @@ def test_protocol_file_mixing_exact_and_float_factors_reads_as_float(tmp_path, c
     assert json.loads(out)["ok"] is True
 
 
-# Inputs and sha256 digests of stdout for LP, double-description and no-go
-# commands.  The digests pin the exact output byte for byte: a change to the
-# elimination kernel, the simplex or the DD must leave every one unchanged.
+# Inputs and sha256 digests of stdout for LP, double-description, no-go,
+# basis and catalog commands.  The digests pin the exact output byte for
+# byte: a change to the elimination kernel, the simplex, the DD or the
+# commutant table must leave every one unchanged.
 DIGEST_FILES = {
     "bell3.json": {"family": "bell", "dim": 2, "elements": [
         ["1/2", "1/3", "1/6", "0"], ["1/4", "1/3", "1/2", "1/2"],
@@ -268,6 +274,10 @@ DIGEST_FILES = {
     "states.json": {"family": "isotropic", "dim": 3, "states": [
         ["1/3", "2/3"], ["1/9", "8/9"], ["0", "1"]]},
     "cost.json": [["0", "1", "2"], ["1", "0", "1"], ["3", "1", "0"]],
+    "iso-check.json": {"family": "isotropic", "dim": 3, "elements": [
+        ["1", "1/5"], ["0", "4/5"]]},
+    "werner-check.json": {"family": "werner", "dim": 3, "elements": [
+        ["1/3", "1"], ["2/3", "0"]]},
 }
 DIGESTS = [
     ("nogo --dim 3 --json", 0,
@@ -294,6 +304,20 @@ DIGESTS = [
      "05c3e485a5a31420606f2ed90e3328fa0149737cf396fd590ff5ef5de066ff6f"),
     ("discriminate --states states.json --cost bayes", 0,
      "c163a53859d58ad4e3683f752205a0e57ace991b770bb91f471a264026d6fffe"),
+    ("basis --family isotropic --dim 3", 0,
+     "ca3bc76ab9ae6af2becc471aad589240c6a60337e7e5475347f72dd7e972f76a"),
+    ("basis --family werner --dim 3", 0,
+     "7359612025f7c77e837402899b5e69a1f57bace75917cf7d86d00c7f2cc98df7"),
+    ("basis --family oo --dim 3", 0,
+     "1394a8c26bcaa5ef25955f3551ba394232e01a64a5a3963e1f334a340c90feb6"),
+    ("basis --family bell", 0,
+     "607ee27065079450900f34ecac071b1471b7be9da196ba6b9deffc3fa39d1a0a"),
+    ("check --povm iso-check.json", 1,
+     "26a18ab0f370cd03375aea0e80e0c698f979b33672aefc6429874aa3c2c18bb7"),
+    ("check --povm werner-check.json", 1,
+     "19a990080e0ff80e039112cdfa07586a1fc024bce7ef426caedfd52b02a15f68"),
+    ("extrema --family werner --dim 4 --outcomes 3", 0,
+     "82d36a749e8a8ec7431278ab2535366e7072c62577bc08e8fc1bec647de53157"),
 ]
 
 
@@ -321,3 +345,72 @@ def test_basis_json_round_trips_matrices(capsys):
     for p in projs[1:]:
         total = total + p
     assert total == BipartiteOperator.identity(2)
+
+
+def test_coefficient_commands_take_any_dim_in_bounded_memory(tmp_path):
+    # a huge dim only enters closed forms: no d^2 x d^2 grid is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"family": "isotropic", "dim": 1e300,
+                                "elements": [["1", "1"]]}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-m", "sympovm.cli", "check", "--povm", str(path)],
+                         capture_output=True, text=True, env=env, preexec_fn=limit_memory,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["feasible"] is True
+    assert "Traceback" not in res.stderr
+
+
+def test_dense_commands_reject_a_dim_over_the_bound(tmp_path, capsys, monkeypatch):
+    # the builders are stubbed: only the guard and its estimate run, so a
+    # dim just over the bound is never built
+    from sympovm.protocols import LocalProtocol, PureStateSet
+    from sympovm.symmetry import CommutantBasis
+
+    built = []
+
+    def stub(make):
+        def record(*args):
+            built.append(args)
+            return make(*args)
+        return record
+
+    monkeypatch.setattr(cli, "commutant_basis", stub(lambda k: CommutantBasis(k, ())))
+    monkeypatch.setattr(cli, "build_pure_state_set", stub(lambda d: PureStateSet(d, ())))
+    monkeypatch.setattr(cli, "isotropic_protocol", stub(lambda t: LocalProtocol(t.kind, ())))
+    monkeypatch.setattr(cli, "oo_protocol", stub(lambda x, d: LocalProtocol(kind("oo", d), ())))
+
+    def target(d):
+        path = tmp_path / f"target{d}.json"
+        path.write_text(json.dumps({"family": "isotropic", "dim": d,
+                                    "elements": [["1", "1"]]}))
+        return str(path)
+
+    bound = cli.MAX_DENSE_ENTRIES
+    # basis holds n d^4 entries, the others about d^3
+    assert 3 * 10 ** 4 <= bound < 3 * 11 ** 4 and 32 ** 3 <= bound < 33 ** 3
+    for ok, over, argv in [
+        (10, 11, ("basis", "--family", "oo", "--dim")),
+        (32, 33, ("state-set", "--dim")),
+        (32, 33, ("protocol-synth", "--family", "oo", "--extremum", "A", "--dim")),
+    ]:
+        built.clear()
+        code, out, err = run(capsys, *argv, str(ok))
+        assert code == 0 and len(built) == 1, err
+        code, out, err = run(capsys, *argv, str(over))
+        assert code == 2 and out == "" and len(built) == 1
+        assert err.startswith(f"error: dim {over} ") and f"bound of {bound}" in err
+    # the target file's dim counts; --dim is ignored for isotropic targets
+    built.clear()
+    code, _, err = run(capsys, "protocol-synth", "--family", "isotropic", "--dim", "2",
+                       "--target", target(32))
+    assert code == 0 and len(built) == 1, err
+    code, out, err = run(capsys, "protocol-synth", "--family", "isotropic", "--dim", "2",
+                         "--target", target(33))
+    assert code == 2 and out == "" and len(built) == 1
+    assert err.startswith("error: dim 33 ") and f"bound of {bound}" in err

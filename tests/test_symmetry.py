@@ -5,10 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from sympovm.operators import BipartiteOperator, is_psd, ketbra, mat, partial_transpose, tensor
+from sympovm.operators import (
+    BipartiteOperator,
+    is_psd,
+    ketbra,
+    maximally_entangled_projector,
+    partial_transpose,
+    swap_operator,
+    tensor,
+)
 from sympovm.symmetry import (
     CoeffVector,
     all_ones,
+    basis_traces,
     bell_group_average,
     coeff_to_operator,
     commutant_basis,
@@ -28,10 +37,81 @@ def test_kind_validation():
 
 
 def test_basis_traces():
-    assert commutant_basis(kind("oo", 3)).traces == (1, 3, 5)
-    assert commutant_basis(kind("isotropic", 2)).traces == (1, 3)
-    assert commutant_basis(kind("werner", 4)).traces == (6, 10)
-    assert commutant_basis(kind("bell", 2)).traces == (1, 1, 1, 1)
+    assert basis_traces(kind("oo", 3)) == (1, 3, 5)
+    assert basis_traces(kind("isotropic", 2)) == (1, 3)
+    assert basis_traces(kind("werner", 4)) == (6, 10)
+    assert basis_traces(kind("bell", 2)) == (1, 1, 1, 1)
+
+
+ALL_KINDS = [("bell", 2)] + [(fam, d) for fam in ("isotropic", "werner", "oo")
+                             for d in range(2, 9)]
+
+
+def unit_vectors(k):
+    return [CoeffVector(k, tuple(int(i == j) for i in range(k.n_coeffs)))
+            for j in range(k.n_coeffs)]
+
+
+@pytest.mark.parametrize("fam,d", ALL_KINDS)
+def test_closed_form_pt_map_and_traces_match_dense_oracle(fam, d):
+    # the PT map and the traces come from the commutant table; the dense
+    # projectors, partial transpose and twirl must give the same numbers
+    k = kind(fam, d)
+    m = pt_coefficient_map(k)
+    projs = commutant_basis(k).projectors
+    assert basis_traces(k) == tuple(p.trace() for p in projs)
+    for j, (p, e) in enumerate(zip(projs, unit_vectors(k))):
+        column = tuple(row[j] for row in m.matrix)
+        assert twirl_coefficients(partial_transpose(p), m.target).coeffs == column
+        assert partial_transpose(coeff_to_operator(e)) == coeff_to_operator(m.apply(e))
+
+
+@pytest.mark.parametrize("fam,d", [(fam, d) for fam in ("isotropic", "werner", "oo")
+                                   for d in range(2, 7)])
+def test_table_coordinates_rebuild_the_dense_projectors(fam, d):
+    from sympovm.symmetry import _PROJECTOR_COORDS
+
+    k = kind(fam, d)
+    span = (BipartiteOperator.identity(d), swap_operator(d), maximally_entangled_projector(d))
+    rebuilt = []
+    for row in _PROJECTOR_COORDS[k.family]:
+        acc = BipartiteOperator.zeros(d)
+        for c, op in zip(row, span):
+            acc = acc + op.scale(Fraction(c))
+        rebuilt.append(acc)
+    assert tuple(rebuilt) == commutant_basis(k).projectors
+
+
+def test_coefficient_paths_build_no_dense_operator(monkeypatch):
+    from sympovm.discrimination import DiscriminationProblem, StateCoeffs, optimal_local_bayes
+    from sympovm.extremal import catalog_extrema, enumerate_vertices
+    from sympovm.feasible import SymPovm, _build_feasible_polytope, build_feasible_polytope, \
+        convex_decompose, is_feasible
+    from sympovm.nogo import isotropic_sanity_search, naive_transform_search
+
+    # cached dense bases would hide a build, so start from empty caches
+    for cached in (pt_coefficient_map, commutant_basis, _build_feasible_polytope):
+        cached.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    monkeypatch.setattr(BipartiteOperator, "__init__", refuse)
+    for fam, d in (("isotropic", 3), ("werner", 3), ("bell", 2), ("oo", 3)):
+        k = kind(fam, d)
+        catalog = catalog_extrema(k, 3)
+        first, last = catalog.ordered_povms()[0], catalog.ordered_povms()[-1]
+        povm = SymPovm(k, tuple((x + y).scale(Fraction(1, 2))
+                                for x, y in zip(first.elements, last.elements)))
+        assert is_feasible(povm).feasible
+        assert convex_decompose(povm, catalog).decomposed
+        assert enumerate_vertices(build_feasible_polytope(k, 2)).points
+        states = [StateCoeffs(k, tuple(Fraction(int(i == j)) for i in range(k.n_coeffs)))
+                  for j in range(k.n_coeffs)]
+        optimal_local_bayes(DiscriminationProblem(states, [Fraction(1, len(states))] *
+                                                  len(states)))
+    assert naive_transform_search(3).verdict == "infeasible"
+    assert isotropic_sanity_search(3).verdict == "feasible"
 
 
 def test_bell_projectors_rank_one_orthogonal():
@@ -175,3 +255,17 @@ def test_coeff_vector_json_round_trip():
     blob = v.to_json()
     assert blob == {"family": "oo", "dim": 3, "coeffs": ["1", "0", "2/5"]}
     assert CoeffVector.from_json(blob) == v
+
+
+def test_coeff_vector_json_errors_name_the_field():
+    base = {"family": "isotropic", "dim": 2}
+    cases = [
+        (dict(base, coeffs=["1", "1/0"]), 'coeffs[1]: zero denominator in "1/0"'),
+        (dict(base, coeffs=5), "coeffs: expected a list, got int"),
+        (base, "top level: missing field 'coeffs'"),
+        (dict(base, coeffs=["1"]), "coeffs: isotropic(d=2) expects 2 coefficients"),
+    ]
+    for blob, message in cases:
+        with pytest.raises(ValueError) as exc:
+            CoeffVector.from_json(blob)
+        assert str(exc.value) == message
