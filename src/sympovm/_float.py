@@ -1,0 +1,91 @@
+"""Float mode: protocols with plain-number entries, and float Kraus roots.
+
+The only module of sympovm that imports numpy at the top, imported only
+for a protocol with a float factor and for a Kraus factor that needs a
+spectral root.  Float verification evaluates the per-term invariants of
+the exact route in numpy and checks completeness one block row of
+sum_t w A (x) B at a time, so memory stays O(d^3); every comparison is
+within an absolute tolerance eps.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .operators import KrausPair
+from .protocols import _BELL_CONJUGATIONS, _projector_traces, _verification
+from .symmetry import basis_traces
+
+
+def grid_from_json(rows, where):
+    """A checked JSON grid (operators.json_grid) as a complex array."""
+    try:
+        return np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows],
+                        dtype=complex)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def factor_psd(g, eps) -> bool:
+    """Whether a local factor is Hermitian and PSD, both within eps."""
+    g = np.asarray(g, dtype=complex)
+    return bool(np.max(np.abs(g - g.conj().T)) <= eps and
+                np.min(np.linalg.eigvalsh(g)) >= -eps)
+
+
+def _invariants(t, bell):
+    """`protocols._projector_traces` invariants of one term, in numpy."""
+    a = np.asarray(t.a_factor, dtype=complex)
+    b = np.asarray(t.b_factor, dtype=complex)
+    if bell:
+        parts = [np.sum(a * np.outer(sign, sign) * b[np.ix_(perm, perm)])
+                 for perm, sign in _BELL_CONJUGATIONS]
+    else:
+        parts = (np.trace(a) * np.trace(b), np.sum(a * b.T), np.sum(a * b))
+    return [complex(p) for p in parts]
+
+
+def outcome_coefficients(terms, k) -> list:
+    """The twirl of sum_t w A (x) B as floats; the real part of each
+    projector trace is kept."""
+    traces = _projector_traces(terms, k, _invariants, 0j)
+    return [tr.real / n for tr, n in zip(traces, basis_traces(k))]
+
+
+def resolves_identity(outcomes, d, eps) -> bool:
+    """Whether the outcome operators sum to the identity within eps.
+
+    Block row i of the sum holds the d x d blocks sum_t w A[i][k] B, one per
+    k; each row is built and compared alone.
+    """
+    terms = [t for ts in outcomes for t in ts]
+    a = np.array([float(t.weight) * np.asarray(t.a_factor, dtype=complex)
+                  for t in terms]).reshape(-1, d, d)
+    b = np.array([np.asarray(t.b_factor, dtype=complex) for t in terms]).reshape(-1, d, d)
+    for i in range(d):
+        row = np.tensordot(a[:, i, :], b, axes=(0, 0))  # row[k] is block (i, k)
+        row[i] -= np.eye(d)
+        if not np.max(np.abs(row)) <= eps:
+            return False
+    return True
+
+
+def verify_protocol(protocol, target, eps):
+    """`protocols.verify_protocol` for a protocol with a float factor."""
+    return _verification(protocol, target, lambda g: factor_psd(g, eps),
+                         lambda k: outcome_coefficients(protocol.outcomes[k], protocol.kind),
+                         resolves_identity(protocol.outcomes, protocol.kind.dim, eps), eps)
+
+
+def float_pairs(w, a, b, eps):
+    """One Kraus pair (sqrt(w a), sqrt(b)) from spectral square roots."""
+    w = float(w)
+    if w < 0:
+        raise ValueError("negative weight in separable form")
+    roots = []
+    for m in (w * np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)):
+        vals, vecs = np.linalg.eigh(m)
+        if np.min(vals) < -eps:
+            raise ValueError("factor is not PSD within tolerance")
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    return [KrausPair(*roots)]

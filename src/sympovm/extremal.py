@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _exactlin
 from .feasible import (
     Polytope,
@@ -29,7 +27,8 @@ from .feasible import (
     is_feasible,
     povm_from_coords,
 )
-from .symmetry import CoeffVector, Family, SymmetryKind, pt_coefficient_map
+from .operators import json_list, json_object, parse_fraction, parse_int
+from .symmetry import CoeffVector, Family, SymmetryKind, kind_from_json, pt_coefficient_map
 
 
 class EmptyPolytopeError(ValueError):
@@ -99,18 +98,24 @@ class VertexSet:
 
     @classmethod
     def from_json(cls, obj) -> "VertexSet":
-        from .symmetry import kind as mk
-
-        k = mk(obj["family"], int(obj["dim"])) if "family" in obj else None
+        """Read a vertex set; a wrong shape or value is a ValueError naming its field."""
+        json_object(obj, "vertices")
+        k = kind_from_json(json_object(obj, "family", "dim")) if "family" in obj else None
+        outcomes = obj.get("outcomes")
+        if outcomes is not None:
+            outcomes = parse_int(outcomes, "outcomes")
         points = []
-        for v in obj["vertices"]:
-            coords = tuple(Fraction(c) for c in v["coords"])
+        for i, v in enumerate(json_list(obj["vertices"], "vertices")):
+            where = f"vertices[{i}]"
+            json_object(v, "coords", where=where)
+            coords = tuple(parse_fraction(c, f"{where}.coords[{j}]")
+                           for j, c in enumerate(json_list(v["coords"], f"{where}.coords")))
             active = v.get("active")
             if active is not None:
-                active = tuple(tuple(a) for a in active)
+                active = tuple(tuple(json_list(a, f"{where}.active[{j}]"))
+                               for j, a in enumerate(json_list(active, f"{where}.active")))
             points.append((coords, active))
-        return cls(k, obj.get("outcomes"), tuple(points),
-                   eliminated=bool(obj.get("eliminated")))
+        return cls(k, outcomes, tuple(points), eliminated=bool(obj.get("eliminated")))
 
 
 def _vertex_set_from_points(polytope: Polytope, pts):
@@ -258,8 +263,10 @@ def brute_force_vertices(polytope: Polytope, chunk=60000) -> VertexSet:
     Reduced dimension must be <= 8.  Candidate active sets are screened in
     floating point and every survivor is confirmed in exact arithmetic, so
     the output is exact; the integer-data guard below keeps the screen
-    conservative (no exact vertex can be screened out).
+    conservative (no exact vertex can be screened out).  Needs numpy.
     """
+    import numpy as np
+
     x0, basis, reduced = _reduce_polytope(polytope)
     m = len(basis)
     if m == 0:

@@ -2,10 +2,10 @@
 
 Scalars are Gaussian rationals: complex numbers with Fraction real and
 imaginary parts, closed under +, -, *, / with no rounding.  Matrices are
-tuples of tuples of such scalars.  Everything constructed from
-coefficient-space data stays exact; a float mode (numpy arrays compared
-with an absolute tolerance, default 1e-9) exists only for user-supplied
-irrational operators.
+tuples of tuples of such scalars, and every operator here is exact: a
+plain number read from a file is taken at its exact binary value.  The
+float mode of protocol files and the float Kraus roots live in
+`sympovm._float`, which alone imports numpy.
 
 Conventions, fixed once for all file formats:
   * composite basis |i>|j> sits at row-major index i*d + j (Alice major);
@@ -17,10 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-EPS_DEFAULT = 1e-9
 
 
 class CRat:
@@ -190,10 +186,6 @@ def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), CR0) for row in a)
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_is_zero(a) -> bool:
     return all(not x for row in a for x in row)
 
@@ -207,8 +199,9 @@ def mat_is_diagonal(a) -> bool:
     return all(not a[i][j] for i in range(len(a)) for j in range(len(a)) if i != j)
 
 
-def mat_to_numpy(a) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+def mat_is_exact(a) -> bool:
+    """Whether every entry of a grid is exact: an int, a Fraction or a CRat."""
+    return all(isinstance(x, (int, Fraction, CRat)) for row in a for x in row)
 
 
 def psd_exact(a) -> bool:
@@ -242,23 +235,13 @@ def psd_exact(a) -> bool:
 # bipartite operators
 
 class BipartiteOperator:
-    """Dense operator on C^d (x) C^d: a d^2 x d^2 scalar grid.
+    """Dense operator on C^d (x) C^d: a d^2 x d^2 Gaussian-rational grid."""
 
-    ``exact`` selects Gaussian-rational entries (the default); float mode
-    stores a numpy array and compares entries with absolute tolerance
-    ``eps``.
-    """
+    __slots__ = ("dim", "entries")
 
-    __slots__ = ("dim", "entries", "exact", "eps")
-
-    def __init__(self, dim, entries, exact=True, eps=EPS_DEFAULT):
+    def __init__(self, dim, entries):
         self.dim = dim
-        self.exact = exact
-        self.eps = eps
-        if exact:
-            self.entries = mat(entries)
-        else:
-            self.entries = np.asarray(entries, dtype=complex)
+        self.entries = mat(entries)
         if len(self.entries) != dim * dim or len(self.entries[0]) != dim * dim:
             raise ValueError(f"expected a {dim * dim}x{dim * dim} matrix")
 
@@ -272,87 +255,53 @@ class BipartiteOperator:
 
     def __add__(self, other):
         self._check_like(other)
-        if self.exact:
-            return BipartiteOperator(self.dim, mat_add(self.entries, other.entries))
-        return BipartiteOperator(self.dim, self.entries + other.entries,
-                                 exact=False, eps=self.eps)
+        return BipartiteOperator(self.dim, mat_add(self.entries, other.entries))
 
     def __sub__(self, other):
         self._check_like(other)
-        if self.exact:
-            return BipartiteOperator(self.dim, mat_sub(self.entries, other.entries))
-        return BipartiteOperator(self.dim, self.entries - other.entries,
-                                 exact=False, eps=self.eps)
+        return BipartiteOperator(self.dim, mat_sub(self.entries, other.entries))
 
     def scale(self, s):
-        if self.exact:
-            return BipartiteOperator(self.dim, mat_scale(s, self.entries))
-        return BipartiteOperator(self.dim, complex(s) * self.entries,
-                                 exact=False, eps=self.eps)
+        return BipartiteOperator(self.dim, mat_scale(s, self.entries))
 
     def __matmul__(self, other):
         self._check_like(other)
-        if self.exact:
-            return BipartiteOperator(self.dim, mat_mul(self.entries, other.entries))
-        return BipartiteOperator(self.dim, self.entries @ other.entries,
-                                 exact=False, eps=self.eps)
+        return BipartiteOperator(self.dim, mat_mul(self.entries, other.entries))
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteOperator) or self.dim != other.dim:
             return NotImplemented
-        if self.exact and other.exact:
-            return mat_eq(self.entries, other.entries)
-        a = self.to_numpy()
-        b = other.to_numpy()
-        return bool(np.max(np.abs(a - b)) <= max(self.eps, other.eps))
+        return self.entries == other.entries
 
     def __hash__(self):
-        if not self.exact:
-            raise TypeError("float-mode operators are not hashable")
         return hash((self.dim, self.entries))
 
     def _check_like(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if self.exact != other.exact:
-            raise ValueError("cannot mix exact and float operators")
 
     def trace(self):
-        if self.exact:
-            return mat_trace(self.entries)
-        return complex(np.trace(self.entries))
-
-    def dagger(self):
-        if self.exact:
-            return BipartiteOperator(self.dim, mat_dagger(self.entries))
-        return BipartiteOperator(self.dim, self.entries.conj().T,
-                                 exact=False, eps=self.eps)
+        return mat_trace(self.entries)
 
     def is_hermitian(self) -> bool:
-        if self.exact:
-            return mat_is_hermitian(self.entries)
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= self.eps)
+        return mat_is_hermitian(self.entries)
 
-    def to_numpy(self) -> np.ndarray:
-        if self.exact:
-            return mat_to_numpy(self.entries)
-        return self.entries
+    def to_numpy(self):
+        import numpy as np
+
+        return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
 
     def to_json(self) -> dict:
-        if not self.exact:
-            return {"dim": self.dim,
-                    "entries": [[[z.real, z.imag] for z in row]
-                                for row in self.entries]}
         return {"dim": self.dim,
                 "entries": [[[str(x.re), str(x.im)] for x in row]
                             for row in self.entries]}
 
     @classmethod
-    def from_json(cls, obj, eps=EPS_DEFAULT):
+    def from_json(cls, obj):
+        """Read an operator; a plain number reads as its exact binary value."""
         json_object(obj, "dim", "entries")
-        exact = json_grids_exact([json_grid(obj["entries"], "entries")])
-        return cls(parse_int(obj["dim"], "dim"), grid_from_json(obj["entries"], exact),
-                   exact=exact, eps=eps)
+        return cls(parse_int(obj["dim"], "dim"),
+                   grid_from_json(json_grid(obj["entries"], "entries")))
 
 
 # ---------------------------------------------------------------------------
@@ -408,65 +357,42 @@ def json_grid(rows, where):
     return rows
 
 
-def json_grids_exact(grids) -> bool:
-    """Whether JSON grids of [re, im] pairs read as exact: only when every
-    entry of every grid is a pair of "p/q" strings, so that one input is
-    never part exact and part float.  The grids must have passed json_grid."""
-    return all(isinstance(p[0], str) and isinstance(p[1], str)
-               for rows in grids for row in rows for p in row)
+def parse_crat(p, where) -> CRat:
+    """A [re, im] pair of rationals; a plain number reads as its exact
+    binary value."""
+    if not (isinstance(p, list) and len(p) == 2):
+        raise ValueError(f"{where}: expected a [re, im] pair")
+    return CRat(parse_fraction(p[0], where), parse_fraction(p[1], where))
 
 
-def grid_from_json(rows, exact, where="entries"):
-    """A checked JSON grid (json_grid) as a CRat grid, or a complex array."""
-    def at(r, c):
-        return f"{where}[{r}][{c}]"
-
-    if exact:
-        return mat([[CRat(parse_fraction(p[0], at(r, c)), parse_fraction(p[1], at(r, c)))
-                     for c, p in enumerate(row)] for r, row in enumerate(rows)])
-    try:
-        return np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows],
-                        dtype=complex)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+def grid_from_json(rows, where="entries"):
+    """A checked JSON grid (json_grid) as a CRat grid."""
+    return tuple(tuple(parse_crat(p, f"{where}[{r}][{c}]") for c, p in enumerate(row))
+                 for r, row in enumerate(rows))
 
 
 def tensor(a, b) -> BipartiteOperator:
-    """Kronecker product of two equal-dimension local operators.
-
-    Accepts exact scalar grids or numpy arrays; mixing the two is an error.
-    """
-    a_exact = not isinstance(a, np.ndarray)
-    b_exact = not isinstance(b, np.ndarray)
-    if a_exact != b_exact:
-        raise ValueError("cannot mix exact and float factors")
+    """Kronecker product of two equal-dimension local operators."""
     d = len(a)
     if any(len(row) != d for row in a) or len(b) != d or any(len(row) != d for row in b):
         raise ValueError("dimension mismatch: need square factors of equal dimension")
-    if a_exact:
-        return BipartiteOperator(d, mat_kron(mat(a), mat(b)))
-    return BipartiteOperator(d, np.kron(a, b), exact=False)
+    return BipartiteOperator(d, mat_kron(mat(a), mat(b)))
 
 
 def partial_transpose(m: BipartiteOperator) -> BipartiteOperator:
     """Transpose the Bob factor: out[(i,j),(k,l)] = in[(i,l),(k,j)]."""
     d = m.dim
-    if m.exact:
-        e = m.entries
-        out = [[e[i * d + l][k * d + j] for k in range(d) for l in range(d)]
-               for i in range(d) for j in range(d)]
-        return BipartiteOperator(d, out)
-    arr = m.entries.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    return BipartiteOperator(d, arr, exact=False, eps=m.eps)
+    e = m.entries
+    out = [[e[i * d + l][k * d + j] for k in range(d) for l in range(d)]
+           for i in range(d) for j in range(d)]
+    return BipartiteOperator(d, out)
 
 
 def is_psd(m: BipartiteOperator) -> bool:
     """True iff all eigenvalues of a Hermitian operator are nonnegative."""
     if not m.is_hermitian():
         raise ValueError("is_psd requires a Hermitian operator")
-    if m.exact:
-        return psd_exact(m.entries)
-    return bool(np.min(np.linalg.eigvalsh(m.entries)) >= -m.eps)
+    return psd_exact(m.entries)
 
 
 def maximally_entangled_projector(d: int) -> BipartiteOperator:
@@ -516,13 +442,16 @@ class ScaledFactor:
 class KrausPair:
     """One product Kraus term (A, B); contributes A†A (x) B†B."""
 
-    a_op: object  # ScaledFactor in exact mode, numpy array in float mode
+    a_op: object  # ScaledFactor, or a numpy array from a float spectral root
     b_op: object
 
     def element(self) -> BipartiteOperator:
+        """A†A (x) B†B; for float roots, the exact values of the float
+        entries of A†A and B†B."""
         if isinstance(self.a_op, ScaledFactor):
             return tensor(self.a_op.gram(), self.b_op.gram())
-        return tensor(self.a_op.conj().T @ self.a_op, self.b_op.conj().T @ self.b_op)
+        return tensor(*([[CRat(z.real, z.imag) for z in row] for row in g.conj().T @ g]
+                        for g in (self.a_op, self.b_op)))
 
 
 def _sqrt_fraction(x: Fraction):
@@ -576,7 +505,7 @@ def _scaled_projector(m):
     if lam <= 0:
         return None
     proj = mat_scale(CRat(Fraction(1) / lam), m)
-    if mat_eq(mat_mul(proj, proj), proj):
+    if mat_mul(proj, proj) == proj:
         return lam, proj
     return None
 
@@ -606,21 +535,26 @@ def _projector_pieces(m):
     return None
 
 
-def kraus_from_separable_form(terms, eps=EPS_DEFAULT):
+def kraus_from_separable_form(terms, eps=1e-9):
     """Kraus pairs (A_n, B_n) with sum_n A†A (x) B†B = sum_k w_k (a_k (x) b_k).
 
     Each term is (weight >= 0, a_psd, b_psd) with d x d PSD factors, given
-    as exact grids or numpy arrays.  Diagonal, projector-multiple and
+    as exact grids or as float arrays.  Diagonal, projector-multiple and
     rank-one factors are factored exactly (any leftover scalar is carried
-    as a radicand); anything else falls back to a float spectral root.
+    as a radicand); anything else, and any float factor, takes a float
+    spectral root (`sympovm._float`, which needs numpy).
     """
     pairs = []
     for w, a, b in terms:
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            pairs.extend(_float_pairs(w, np.asarray(a, complex), np.asarray(b, complex), eps))
+        if not (mat_is_exact(a) and mat_is_exact(b)):
+            from . import _float
+
+            pairs.extend(_float.float_pairs(w, a, b, eps))
             continue
         a, b = mat(a), mat(b)
-        w = frac_weight(w)
+        w = _real_fraction(cr(w))
+        if w is None:
+            raise ValueError("weights must be real")
         if w < 0:
             raise ValueError("negative weight in separable form")
         if not (mat_is_hermitian(a) and psd_exact(a)):
@@ -649,31 +583,7 @@ def kraus_from_separable_form(terms, eps=EPS_DEFAULT):
                         a_factor = ScaledFactor(radicand, proj_a)
                     pairs.append(KrausPair(a_factor, ScaledFactor(Fraction(1), proj_b)))
             continue
-        pairs.extend(_float_pairs(w, mat_to_numpy(a), mat_to_numpy(b), eps))
+        from . import _float
+
+        pairs.extend(_float.float_pairs(w, a, b, eps))
     return pairs
-
-
-def frac_weight(w) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int):
-        return Fraction(w)
-    if isinstance(w, CRat):
-        if w.im:
-            raise ValueError("weights must be real")
-        return w.re
-    return Fraction(w)
-
-
-def _sqrtm_psd(m: np.ndarray, eps: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    if np.min(vals) < -eps:
-        raise ValueError("factor is not PSD within tolerance")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-def _float_pairs(w, a, b, eps):
-    w = float(w)
-    if w < 0:
-        raise ValueError("negative weight in separable form")
-    return [KrausPair(_sqrtm_psd(w * a, eps), _sqrtm_psd(b, eps))]

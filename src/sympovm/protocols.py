@@ -27,9 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from .feasible import SymPovm
 from .operators import (
@@ -40,18 +38,20 @@ from .operators import (
     cr,
     grid_from_json,
     json_grid,
-    json_grids_exact,
     json_list,
     json_object,
     ketbra,
     mat,
     mat_add,
     mat_eye,
+    mat_is_exact,
     mat_is_hermitian,
     mat_kron,
     mat_scale,
     mat_sub,
+    parse_crat,
     parse_fraction,
+    parse_int,
     psd_exact,
 )
 from .symmetry import (
@@ -61,7 +61,6 @@ from .symmetry import (
     basis_traces,
     kind_from_json,
     projector_traces,
-    twirl_coefficients_float,
 )
 
 
@@ -77,12 +76,12 @@ class InfeasibleTargetError(ValueError):
 @dataclass(frozen=True)
 class ProductTerm:
     weight: Fraction
-    a_factor: object  # d x d exact grid, or numpy array in float mode
+    a_factor: object  # d x d exact grid, or a float array in float mode
     b_factor: object
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.a_factor, np.ndarray)
+        return mat_is_exact(self.a_factor) and mat_is_exact(self.b_factor)
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,17 @@ class LocalProtocol:
                         raise ValueError(f"outcome {k}, term {n}: factor {name} "
                                          f"is not {d}x{d}")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(t.exact for terms in self.outcomes for t in terms)
 
     def outcome_operator(self, k):
-        d = self.kind.dim
-        terms = self.outcomes[k]
+        """Outcome k as a dense d^2 x d^2 operator: the oracle of the tests."""
         if not self.exact:
-            acc = np.zeros((d * d, d * d), dtype=complex)
-            for t in terms:
-                acc = acc + float(t.weight) * np.kron(np.asarray(t.a_factor),
-                                                      np.asarray(t.b_factor))
-            return BipartiteOperator(d, acc, exact=False)
+            raise ValueError("outcome_operator requires an exact protocol")
+        d = self.kind.dim
         op = BipartiteOperator.zeros(d)
-        for t in terms:
+        for t in self.outcomes[k]:
             op = op + BipartiteOperator(d, mat_kron(t.a_factor, t.b_factor)).scale(t.weight)
         return op
 
@@ -125,7 +120,7 @@ class LocalProtocol:
         """
         if not self.exact:
             raise ValueError("outcome_coefficients requires an exact protocol")
-        traces = _projector_traces(self.outcomes[k], self.kind)
+        traces = _projector_traces(self.outcomes[k], self.kind, _exact_invariants, CR0)
         if any(tr.im for tr in traces):
             raise ValueError("operator trace against basis projector is not real")
         return CoeffVector(self.kind, tuple(tr.re / n for tr, n in
@@ -158,11 +153,10 @@ class LocalProtocol:
 
     def to_json(self) -> dict:
         def factor_json(g):
-            if isinstance(g, np.ndarray):
-                return {"dim": g.shape[0],
-                        "entries": [[[z.real, z.imag] for z in row] for row in g]}
+            exact = mat_is_exact(g)
             return {"dim": len(g),
-                    "entries": [[[str(x.re), str(x.im)] for x in row] for row in g]}
+                    "entries": [[[str(x.re), str(x.im)] if exact else [x.real, x.imag]
+                                 for x in row] for row in g]}
 
         return {"twirl": self.kind.family.value, "dim": self.kind.dim,
                 "outcomes": [[{"w": str(t.weight),
@@ -172,7 +166,8 @@ class LocalProtocol:
 
     @classmethod
     def from_json(cls, obj) -> "LocalProtocol":
-        """Read the whole file in one mode: exact only when every factor is.
+        """Read the whole file in one mode: exact only when every entry is a
+        pair of "p/q" strings, float (`sympovm._float`) otherwise.
 
         A wrong shape or value is a ValueError naming its field.
         """
@@ -187,12 +182,17 @@ class LocalProtocol:
                 for f in "ab":
                     json_object(t[f], "entries", where=f"{where}.{f}")
                     json_grid(t[f]["entries"], f"{where}.{f}.entries")
-        exact = json_grids_exact([t[f]["entries"] for terms in outcomes
-                                  for t in terms for f in "ab"])
+        if all(isinstance(x, str) for terms in outcomes for t in terms for f in "ab"
+               for row in t[f]["entries"] for p in row for x in p):
+            read = grid_from_json
+        else:
+            from . import _float
+
+            read = _float.grid_from_json
 
         def term(where, t):
             return ProductTerm(parse_fraction(t["w"], f"{where}.w"),
-                               *(grid_from_json(t[f]["entries"], exact, f"{where}.{f}.entries")
+                               *(read(t[f]["entries"], f"{where}.{f}.entries")
                                  for f in "ab"))
 
         return cls(k, tuple(tuple(term(f"outcomes[{i}][{n}]", t) for n, t in enumerate(terms))
@@ -208,37 +208,39 @@ _BELL_CONJUGATIONS = (((1, 0), (1, 1)), ((1, 0), (1, -1)),
                       ((0, 1), (1, 1)), ((0, 1), (1, -1)))
 
 
-def _projector_traces(terms, k: SymmetryKind):
+def _projector_traces(terms, k: SymmetryKind, invariants, zero):
     """tr(Pi_i sum_t w A (x) B) for each commutant projector Pi_i, in basis
-    order, from the d x d invariants of the product terms."""
-    d = k.dim
+    order, from invariants(t, bell) of each product term t: for bell
+    tr(A (s^dagger B s)^T) per projector, else (trA trB, tr(AB), tr(AB^T)).
+    The sums start at zero: CR0, or 0j in float mode."""
     bell = k.family is Family.BELL
-    # bell: tr(A (s^dagger B s)^T) per projector; else trA trB, tr(AB), tr(AB^T)
-    sums = [CR0] * (4 if bell else 3)
+    sums = [zero] * (4 if bell else 3)
     for t in terms:
-        a, b = t.a_factor, t.b_factor
-        nz = [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
-        if not t.weight or not nz:
-            continue
-        if bell:
-            parts = []
-            for perm, sign in _BELL_CONJUGATIONS:
-                s = CR0
-                for i, j, x in nz:
-                    y = b[perm[i]][perm[j]]
-                    if y:
-                        s = s + x * y if sign[i] == sign[j] else s - x * y
-                parts.append(s)
-        else:
-            parts = (sum((x for i, j, x in nz if i == j), CR0) *
-                     sum((b[i][i] for i in range(d)), CR0),
-                     sum((x * b[j][i] for i, j, x in nz if b[j][i]), CR0),
-                     sum((x * b[i][j] for i, j, x in nz if b[i][j]), CR0))
-        sums = [acc + p * t.weight for acc, p in zip(sums, parts)]
+        sums = [acc + p * t.weight for acc, p in zip(sums, invariants(t, bell))]
     if bell:
         return [s * _HALF for s in sums]
     tot, swap, plus = sums
-    return projector_traces(k, (tot, swap, plus / d))
+    return projector_traces(k, (tot, swap, plus / k.dim))
+
+
+def _exact_invariants(t, bell):
+    """The invariants of an exact term, over the nonzero entries of A."""
+    a, b = t.a_factor, t.b_factor
+    nz = [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+    if bell:
+        parts = []
+        for perm, sign in _BELL_CONJUGATIONS:
+            s = CR0
+            for i, j, x in nz:
+                y = b[perm[i]][perm[j]]
+                if y:
+                    s = s + x * y if sign[i] == sign[j] else s - x * y
+            parts.append(s)
+        return parts
+    tr_a = sum((x for i, j, x in nz if i == j), CR0)
+    return (tr_a * sum((row[i] for i, row in enumerate(b)), CR0),
+            sum((x * b[j][i] for i, j, x in nz if b[j][i]), CR0),
+            sum((x * b[i][j] for i, j, x in nz if b[i][j]), CR0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +271,21 @@ class PureStateSet:
 
     @classmethod
     def from_json(cls, obj) -> "PureStateSet":
-        states = tuple(
-            PureState(Fraction(st["weight"]),
-                      tuple(CRat(Fraction(p[0]), Fraction(p[1])) for p in st["vec"]),
-                      Fraction(st["norm2"]))
-            for st in obj["states"])
-        out = cls(int(obj["dim"]), states)
+        """Read and validate a state set: a wrong shape or value is a ValueError
+        naming its field, a set failing `_validate_state_set` an AssertionError."""
+        json_object(obj, "dim", "states")
+        d = parse_int(obj["dim"], "dim")
+        states = []
+        for n, st in enumerate(json_list(obj["states"], "states")):
+            where = f"states[{n}]"
+            json_object(st, "weight", "vec", "norm2", where=where)
+            vec = tuple(parse_crat(p, f"{where}.vec[{i}]")
+                        for i, p in enumerate(json_list(st["vec"], f"{where}.vec")))
+            if len(vec) != d:
+                raise ValueError(f"{where}.vec: expected {d} amplitudes, got {len(vec)}")
+            states.append(PureState(parse_fraction(st["weight"], f"{where}.weight"), vec,
+                                    parse_fraction(st["norm2"], f"{where}.norm2")))
+        out = cls(d, tuple(states))
         _validate_state_set(out)
         return out
 
@@ -339,7 +350,7 @@ def _validate_state_set(s: PureStateSet):
             raise AssertionError("state weights must be positive")
         if sum((x * x for x in st.vec), CR0):
             raise AssertionError("state fails self-transpose orthogonality")
-        if sum((x * x.conjugate() for x in st.vec), CR0) != st.norm2:
+        if st.norm2 <= 0 or sum((x * x.conjugate() for x in st.vec), CR0) != st.norm2:
             raise AssertionError("stored squared norm is wrong")
         acc = mat_add(acc, mat_scale(st.weight, st.projector()))
     if acc != mat_eye(d):
@@ -594,46 +605,33 @@ def verify_protocol(protocol: LocalProtocol, target: SymPovm,
     checked from local invariants of its product terms
     (`LocalProtocol.outcome_coefficients`, `LocalProtocol.resolves_identity`)
     and no d^2 x d^2 operator is built; the dense twirl of
-    `outcome_operator` is the oracle they are tested against.  Float-mode
-    protocols are twirled densely and compared within eps instead.
+    `outcome_operator` is the oracle they are tested against.  A protocol
+    with a float factor is checked by `sympovm._float` from the same
+    invariants, every comparison within eps.
     """
     if protocol.kind != target.kind:
         raise ValueError("protocol and target symmetry kinds differ")
     if len(protocol.outcomes) != target.n_outcomes:
         raise ValueError("protocol and target outcome counts differ")
-    d = protocol.kind.dim
-    exact = protocol.exact
-    psd_ok = True
-    for terms in protocol.outcomes:
-        for t in terms:
-            if t.weight < 0:
-                psd_ok = False
-            for g in (t.a_factor, t.b_factor):
-                if isinstance(g, np.ndarray):
-                    herm = np.max(np.abs(g - g.conj().T)) <= eps
-                    psd_ok &= bool(herm and np.min(np.linalg.eigvalsh(g)) >= -eps)
-                else:
-                    psd_ok &= mat_is_hermitian(g) and psd_exact(g)
-    outcomes_ok = []
+    if not protocol.exact:
+        from . import _float
+
+        return _float.verify_protocol(protocol, target, eps)
+    return _verification(protocol, target, lambda g: mat_is_hermitian(g) and psd_exact(g),
+                         lambda k: protocol.outcome_coefficients(k).coeffs,
+                         protocol.resolves_identity(), 0)
+
+
+def _verification(protocol, target, factor_psd, coefficients, complete, tol):
+    """The verification of protocol against target, given a factor check,
+    coefficients(k) of outcome k, which matches its target when every
+    difference is at most tol, and the completeness verdict."""
+    psd_ok = all(t.weight >= 0 and factor_psd(t.a_factor) and factor_psd(t.b_factor)
+                 for terms in protocol.outcomes for t in terms)
     diffs = []
-    if exact:
-        for k, e in enumerate(target.elements):
-            got = protocol.outcome_coefficients(k)
-            diff = tuple(g - t for g, t in zip(got.coeffs, e.coeffs))
-            ok = not any(diff)
-            outcomes_ok.append(ok)
-            diffs.append(None if ok else diff)
-        complete = protocol.resolves_identity()
-    else:
-        total = np.zeros((d * d, d * d), dtype=complex)
-        for k, e in enumerate(target.elements):
-            op = protocol.outcome_operator(k)
-            total = total + op.entries
-            got = twirl_coefficients_float(op.entries, protocol.kind)
-            diff = tuple(g - float(t) for g, t in zip(got, e.coeffs))
-            ok = all(abs(x) <= eps for x in diff)
-            outcomes_ok.append(ok)
-            diffs.append(None if ok else diff)
-        complete = bool(np.max(np.abs(total - np.eye(d * d))) <= eps)
+    for k, e in enumerate(target.elements):
+        diff = tuple(g - c for g, c in zip(coefficients(k), e.coeffs))
+        diffs.append(None if all(abs(x) <= tol for x in diff) else diff)
+    outcomes_ok = tuple(d is None for d in diffs)
     ok = all(outcomes_ok) and complete and psd_ok
-    return ProtocolVerification(ok, tuple(outcomes_ok), tuple(diffs), complete, psd_ok)
+    return ProtocolVerification(ok, outcomes_ok, tuple(diffs), complete, psd_ok)

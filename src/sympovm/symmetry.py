@@ -15,9 +15,11 @@ The basis order is part of every file format and is never permuted.
 Every projector but Bell's is written once, as coordinates on (1, F, P+)
 in `_PROJECTOR_COORDS`.  Projector traces, the twirl from (tr X, tr FX,
 tr P+X) and the PT maps (PT(F) = d P+, PT(P+) = F/d; Vollbrecht & Werner,
-PRA 64, 062307, 2001) follow from it in closed form.  The dense projectors
-of `commutant_basis` remain for `sympovm basis`, float mode and the
-oracle (`coeff_to_operator`, `twirl_coefficients`) of the tests.
+PRA 64, 062307, 2001) follow from it in closed form; the exact and the
+float verification of protocols both combine their per-term invariants
+through `projector_traces`.  The dense projectors of `commutant_basis`
+remain for `sympovm basis` and the oracle (`coeff_to_operator`,
+`twirl_coefficients`) of the tests.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def _invariants(d, x):
 
 def projector_traces(k: SymmetryKind, invariants) -> list:
     """tr(Pi_i X) for each commutant projector Pi_i, in basis order, from
-    invariants = (tr X, tr FX, tr P+X).  Not for the Bell family."""
+    invariants = (tr X, tr FX, tr P+X), exact or float.  Not for the Bell
+    family."""
     return [sum(x * c for c, x in zip(row, invariants) if c)
             for row in _PROJECTOR_COORDS[k.family]]
 
@@ -248,8 +251,6 @@ def twirl_coefficients(m: BipartiteOperator, k: SymmetryKind) -> CoeffVector:
     This is the statistics-level twirl; for invariant m it inverts
     coeff_to_operator exactly.
     """
-    if not m.exact:
-        raise ValueError("twirl_coefficients requires an exact operator")
     basis = commutant_basis(k)
     if m.dim != k.dim:
         raise ValueError("dimension mismatch")
@@ -260,14 +261,6 @@ def twirl_coefficients(m: BipartiteOperator, k: SymmetryKind) -> CoeffVector:
             raise ValueError("operator trace against basis projector is not real")
         coeffs.append(tr.re / t)
     return CoeffVector(k, tuple(coeffs))
-
-
-def twirl_coefficients_float(arr, k: SymmetryKind):
-    """Float-mode twirl: list of floats, no exactness guarantees."""
-    import numpy as np
-
-    return [float(np.real(np.trace(np.asarray(arr) @ p.to_numpy()))) / t
-            for p, t in zip(commutant_basis(k).projectors, basis_traces(k))]
 
 
 _PAULIS = {

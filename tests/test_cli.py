@@ -214,6 +214,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     target.write_text(json.dumps({"family": "isotropic", "dim": 2, "elements": [["1", "1"]]}))
     elements5 = tmp_path / "elements5.json"
     elements5.write_text(json.dumps({"family": "isotropic", "dim": 2, "elements": 5}))
+    huge_float = tmp_path / "huge-float.json"
+    huge_float.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [[{
+        "w": "1", "a": float_factor([[1, 0], [0, 1]]),
+        "b": {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]}))
     cases = [
         (("check", "--povm", listed), listed, "expected a JSON object"),
         (("decompose", "--povm", listed), listed, "expected a JSON object"),
@@ -224,6 +228,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (("discriminate", "--states", listed), listed,
          "expected a JSON object with fields family, dim, states"),
         (("check", "--povm", elements5), elements5, "elements: expected a list"),
+        (("protocol-verify", "--protocol", huge_float, "--target", target), huge_float,
+         "outcomes[0][0].b.entries: int too large to convert to float"),
     ]
     for argv, path, message in cases:
         code, out, err = run(capsys, *map(str, argv))
@@ -259,11 +265,43 @@ def test_protocol_file_mixing_exact_and_float_factors_reads_as_float(tmp_path, c
     assert json.loads(out)["ok"] is True
 
 
+def float_factor(rows):
+    """A d x d protocol factor whose entries are plain numbers (float mode)."""
+    return {"dim": len(rows),
+            "entries": [[[complex(z).real, complex(z).imag] for z in row] for row in rows]}
+
+
+def iso_float_protocol(d, responses):
+    """The computational-basis isotropic protocol, one outcome per (x, y):
+    Alice's |i><i| with Bob's x |i><i| + y (1 - |i><i|)."""
+    return {"twirl": "isotropic", "dim": d, "outcomes": [
+        [{"w": "1",
+          "a": float_factor([[float(r == c == i) for c in range(d)] for r in range(d)]),
+          "b": float_factor([[(x if r == i else y) if r == c else 0.0 for c in range(d)]
+                             for r in range(d)])}
+         for i in range(d)] for x, y in responses]}
+
+
+# the y-basis projector pair of a qubit: same outcomes collect Psi+ and Phi-
+Y_PLUS = [[0.5, -0.5j], [0.5j, 0.5]]
+Y_MINUS = [[0.5, 0.5j], [-0.5j, 0.5]]
+
 # Inputs and sha256 digests of stdout for LP, double-description, no-go,
-# basis and catalog commands.  The digests pin the exact output byte for
-# byte: a change to the elimination kernel, the simplex, the DD or the
-# commutant table must leave every one unchanged.
+# basis, catalog and float protocol-verify commands.  The digests pin the
+# exact output byte for byte: a change to the elimination kernel, the
+# simplex, the DD, the commutant table or the float mode must leave every
+# one unchanged.
 DIGEST_FILES = {
+    "iso3-float.json": iso_float_protocol(3, [(0.7, 1 / 6), (0.3, 5 / 6)]),
+    "iso3-target.json": {"family": "isotropic", "dim": 3, "elements": [
+        ["7/10", "3/10"], ["3/10", "7/10"]]},
+    "bell-float.json": {"twirl": "bell", "dim": 2, "outcomes": [
+        [{"w": "1", "a": float_factor(a), "b": float_factor(b)}
+         for a, b in ((Y_PLUS, Y_PLUS), (Y_MINUS, Y_MINUS))],
+        [{"w": 1.0, "a": float_factor(a), "b": float_factor(b)}
+         for a, b in ((Y_PLUS, Y_MINUS), (Y_MINUS, Y_PLUS))]]},
+    "bell-target.json": {"family": "bell", "dim": 2, "elements": [
+        ["1", "0", "0", "1"], ["0", "1", "1", "0"]]},
     "bell3.json": {"family": "bell", "dim": 2, "elements": [
         ["1/2", "1/3", "1/6", "0"], ["1/4", "1/3", "1/2", "1/2"],
         ["1/4", "1/3", "1/3", "1/2"]]},
@@ -318,6 +356,10 @@ DIGESTS = [
      "19a990080e0ff80e039112cdfa07586a1fc024bce7ef426caedfd52b02a15f68"),
     ("extrema --family werner --dim 4 --outcomes 3", 0,
      "82d36a749e8a8ec7431278ab2535366e7072c62577bc08e8fc1bec647de53157"),
+    ("protocol-verify --protocol iso3-float.json --target iso3-target.json", 0,
+     "8a4ad1af51c3dec307dacc0fe52c641f1aa7213cba338c59d85e7970cab71a19"),
+    ("protocol-verify --protocol bell-float.json --target bell-target.json", 0,
+     "8a4ad1af51c3dec307dacc0fe52c641f1aa7213cba338c59d85e7970cab71a19"),
 ]
 
 
@@ -347,23 +389,79 @@ def test_basis_json_round_trips_matrices(capsys):
     assert total == BipartiteOperator.identity(2)
 
 
-def test_coefficient_commands_take_any_dim_in_bounded_memory(tmp_path):
+def child_env():
+    """The environment of a child process that imports this checkout's sympovm."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def huge_dim_check(tmp_path):
     # a huge dim only enters closed forms: no d^2 x d^2 grid is allocated
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"family": "isotropic", "dim": 1e300,
                                 "elements": [["1", "1"]]}))
+    return ["check", "--povm", str(path)], "feasible"
+
+
+def float_protocol_d100(tmp_path):
+    # float verification works on d x d invariants and block rows of the
+    # completeness sum: O(d^3) memory, no 10^4 x 10^4 array
+    d = 100
+    eye = [[float(r == c) for c in range(d)] for r in range(d)]
+    ppath = tmp_path / "protocol.json"
+    ppath.write_text(json.dumps({"twirl": "isotropic", "dim": d, "outcomes": [
+        [{"w": "1", "a": float_factor(eye), "b": float_factor(eye)}]]}))
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"family": "isotropic", "dim": d, "elements": [["1", "1"]]}))
+    return ["protocol-verify", "--protocol", str(ppath), "--target", str(tpath)], "ok"
+
+
+@pytest.mark.parametrize("make_input", [huge_dim_check, float_protocol_d100])
+def test_coefficient_commands_take_any_dim_in_bounded_memory(tmp_path, make_input):
+    argv, key = make_input(tmp_path)
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    res = subprocess.run([sys.executable, "-m", "sympovm.cli", "check", "--povm", str(path)],
-                         capture_output=True, text=True, env=env, preexec_fn=limit_memory,
-                         timeout=120)
+    res = subprocess.run([sys.executable, "-m", "sympovm.cli"] + argv,
+                         capture_output=True, text=True, env=child_env(),
+                         preexec_fn=limit_memory, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["feasible"] is True
+    assert json.loads(res.stdout)[key] is True
     assert "Traceback" not in res.stderr
+
+
+# run in a fresh interpreter: argv is povm.json, target.json, protocol.json
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+import sympovm, sympovm.cli
+povm, target, protocol = sys.argv[1:]
+for argv in (["check", "--povm", povm], ["decompose", "--povm", povm],
+             ["vertices", "--family", "bell", "--dim", "2", "--outcomes", "2",
+              "--method", "dd"],
+             ["nogo", "--dim", "2", "--family", "isotropic"],
+             ["protocol-verify", "--protocol", protocol, "--target", target]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sympovm.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    # numpy is needed only for float protocol files, float Kraus roots and
+    # the brute-force vertex oracle
+    from sympovm.protocols import isotropic_protocol
+
+    k = kind("isotropic", 2)
+    target = SymPovm(k, (CoeffVector(k, (1, Fraction(1, 3))),
+                         CoeffVector(k, (0, Fraction(2, 3)))))
+    paths = [tmp_path / name for name in ("povm.json", "target.json", "protocol.json")]
+    for path, blob in zip(paths, (DIGEST_FILES["bell3.json"], target.to_json(),
+                                  isotropic_protocol(target).to_json())):
+        path.write_text(json.dumps(blob))
+    res = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT] + [str(p) for p in paths],
+                         capture_output=True, text=True, env=child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_dense_commands_reject_a_dim_over_the_bound(tmp_path, capsys, monkeypatch):

@@ -232,6 +232,26 @@ def test_vertex_set_json_round_trip():
     assert again.povm_keys() == vs.povm_keys()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda b: b["vertices"][0]["coords"].__setitem__(0, "1/0"),
+     'vertices[0].coords[0]: zero denominator in "1/0"'),
+    (lambda b: b.pop("vertices"), "missing field 'vertices'"),
+    (lambda b: b["vertices"][0].update(coords="1/2"), "vertices[0].coords: expected a list"),
+    (lambda b: b.update(dim="three"), "dim: expected an integer"),
+])
+def test_vertex_set_reader_names_the_bad_field(edit, message):
+    import json
+
+    from sympovm.extremal import VertexSet
+
+    blob = json.loads(json.dumps(
+        enumerate_vertices(build_feasible_polytope(kind("oo", 3), 2)).to_json()))
+    edit(blob)
+    with pytest.raises(ValueError) as err:
+        VertexSet.from_json(blob)
+    assert message in str(err.value)
+
+
 def test_lemma_checks_pass_on_real_catalogs():
     for fam, d, n in [("bell", 2, 4), ("oo", 3, 3), ("isotropic", 3, 2)]:
         catalog = catalog_extrema(kind(fam, d), n)

@@ -225,7 +225,9 @@ def test_matrix_json_round_trip():
 
 
 def test_float_mode_operator():
-    arr = np.diag([1.0, 0.5, 0.25, 0.0])
-    m = BipartiteOperator(2, arr, exact=False)
+    # float entries are taken at their exact binary values
+    arr = np.diag([1.0, 0.5, 0.25, 0.1])
+    m = BipartiteOperator(2, arr)
+    assert m.entries[3][3] == Fraction(0.1) != Fraction(1, 10)
     assert is_psd(m)
     assert partial_transpose(partial_transpose(m)) == m

@@ -289,10 +289,28 @@ def test_pure_state_set_json_round_trip():
         PureStateSet.from_json(bad)
 
 
-def test_float_protocol_verifies_within_eps():
-    third = Fraction(1, 3)
-    target = iso_povm(2, (1, third), (0, 2 * third))
-    proto = isotropic_protocol(target)
+@pytest.mark.parametrize("edit,message", [
+    (lambda b: b["states"][0].update(weight="1/0"),
+     'states[0].weight: zero denominator in "1/0"'),
+    (lambda b: b.pop("states"), "missing field 'states'"),
+    (lambda b: b["states"][0].update(vec="1"), "states[0].vec: expected a list"),
+    (lambda b: b["states"][0].update(vec=[["1", "0"], "0", ["0", "0"]]),
+     "states[0].vec[1]: expected a [re, im] pair"),
+    (lambda b: b.update(dim="three"), "dim: expected an integer"),
+    (lambda b: b.update(dim=4), "states[0].vec: expected 4 amplitudes, got 3"),
+])
+def test_pure_state_set_reader_names_the_bad_field(edit, message):
+    from sympovm.protocols import PureStateSet
+
+    blob = json.loads(json.dumps(build_pure_state_set(3).to_json()))
+    edit(blob)
+    with pytest.raises(ValueError) as err:
+        PureStateSet.from_json(blob)
+    assert message in str(err.value)
+
+
+def float_copy(proto):
+    """proto read back from a file whose entries are plain numbers."""
     blob = proto.to_json()
     for outcome in blob["outcomes"]:
         for term in outcome:
@@ -300,7 +318,13 @@ def test_float_protocol_verifies_within_eps():
                 ent = term[key]["entries"]
                 term[key]["entries"] = [[[float(Fraction(p[0])), float(Fraction(p[1]))]
                                          for p in row] for row in ent]
-    floaty = LocalProtocol.from_json(blob)
+    return LocalProtocol.from_json(blob)
+
+
+def test_float_protocol_verifies_within_eps():
+    third = Fraction(1, 3)
+    target = iso_povm(2, (1, third), (0, 2 * third))
+    floaty = float_copy(isotropic_protocol(target))
     assert not floaty.exact
     assert verify_protocol(floaty, target, eps=1e-9).ok
 
@@ -391,17 +415,23 @@ def complete_protocols(draw):
 
 
 @st.composite
-def perturbed_protocols(draw):
-    """A complete protocol with one factor entry moved by a nonzero amount."""
-    proto = draw(complete_protocols())
+def perturbed_protocols(draw, proto=None, hermitian=False):
+    """A complete protocol (or proto) with one factor entry moved by a
+    nonzero amount; with hermitian, the mirror entry moves by the conjugate
+    amount, so that a Hermitian factor stays Hermitian."""
+    if proto is None:
+        proto = draw(complete_protocols())
     k = draw(st.sampled_from([k for k, terms in enumerate(proto.outcomes) if terms]))
     n = draw(st.integers(0, len(proto.outcomes[k]) - 1))
     i, j = draw(st.integers(0, proto.kind.dim - 1)), draw(st.integers(0, proto.kind.dim - 1))
-    delta = draw(st.builds(CRat, small_rationals, small_rationals).filter(bool))
+    im = st.just(Fraction(0)) if hermitian and i == j else small_rationals
+    delta = draw(st.builds(CRat, small_rationals, im).filter(bool))
     t = proto.outcomes[k][n]
     on_a = draw(st.booleans())
     grid = [list(row) for row in (t.a_factor if on_a else t.b_factor)]
     grid[i][j] = grid[i][j] + delta
+    if hermitian and i != j:
+        grid[j][i] = grid[j][i] + delta.conjugate()
     grid = tuple(tuple(row) for row in grid)
     term = ProductTerm(t.weight, grid, t.b_factor) if on_a else \
         ProductTerm(t.weight, t.a_factor, grid)
@@ -452,3 +482,51 @@ def test_exact_verification_builds_no_dense_operator(monkeypatch):
 
 def test_pure_state_set_is_built_once_per_dimension():
     assert build_pure_state_set(5) is build_pure_state_set(5)
+
+
+# ---------------------------------------------------------------------------
+# float mode against the exact verification
+
+
+@st.composite
+def float_mode_cases(draw):
+    """(target, exact protocol): a synthesised protocol of any family, intact
+    or with one factor moved Hermitian-ly, and the target read off the
+    intact protocol."""
+    proto = draw(complete_protocols())
+    target = SymPovm(proto.kind, tuple(proto.outcome_coefficients(k)
+                                       for k in range(len(proto.outcomes))))
+    if draw(st.booleans()):
+        proto = draw(perturbed_protocols(proto, hermitian=True))
+    return target, proto
+
+
+@given(float_mode_cases())
+@PROPERTY_SETTINGS
+def test_float_verification_matches_exact(case):
+    from sympovm import _float
+
+    target, proto = case
+    floaty = float_copy(proto)
+    exact, approx = verify_protocol(proto, target), verify_protocol(floaty, target)
+    assert (approx.outcomes_ok, approx.complete, approx.factors_psd) == \
+        (exact.outcomes_ok, exact.complete, exact.factors_psd)
+    for k, terms in enumerate(floaty.outcomes):
+        got = _float.outcome_coefficients(terms, proto.kind)
+        want = proto.outcome_coefficients(k).coeffs
+        assert all(abs(g - float(c)) <= 1e-12 * max(1, abs(c)) for g, c in zip(got, want))
+
+
+@pytest.mark.parametrize("eigenvalue,psd", [(-1e-6, False), (-1e-12, True)])
+def test_float_factor_psd_within_eps(eigenvalue, psd):
+    third = Fraction(1, 3)
+    target = iso_povm(2, (1, third), (0, 2 * third))
+    proto = float_copy(isotropic_protocol(target))
+    assert verify_protocol(proto, target).factors_psd
+    # Bob's first factor is diag(1, 0); move its zero eigenvalue
+    t = proto.outcomes[0][0]
+    b = t.b_factor.copy()
+    b[1][1] = eigenvalue
+    moved = LocalProtocol(proto.kind, ((ProductTerm(t.weight, t.a_factor, b),) +
+                                       proto.outcomes[0][1:], proto.outcomes[1]))
+    assert verify_protocol(moved, target).factors_psd is psd
