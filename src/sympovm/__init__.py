@@ -24,10 +24,12 @@ from .extremal import (
     VertexSet,
     basic_vectors,
     brute_force_vertices,
+    catalog_classes,
     catalog_extrema,
     check_lemma_properties,
     decompose_into_basic,
     enumerate_vertices,
+    extremal_classes,
     is_extremal,
     oo_three_outcome_elements,
     oo_two_outcome_elements,

@@ -20,11 +20,13 @@ from .discrimination import (
 )
 from .extremal import (
     brute_force_vertices,
+    catalog_classes,
     catalog_extrema,
     enumerate_vertices,
     is_extremal,
     oo_three_outcome_elements,
     oo_two_outcome_elements,
+    pair_classes,
 )
 from .feasible import (
     SymPovm,
@@ -44,7 +46,6 @@ from .protocols import (
 )
 from .symmetry import (
     CoeffVector,
-    Family,
     coeff_to_operator,
     kind,
     pt_coefficient_map,
@@ -71,31 +72,26 @@ def random_distribution(rng, n):
     return [r / total for r in raw]
 
 
-def random_feasible_povm(rng, k, n_outcomes) -> SymPovm:
-    """Random convex combination of extremal catalog POVMs (hence feasible)."""
-    povms = catalog_extrema(k, n_outcomes).ordered_povms()
-    weights = random_distribution(rng, len(povms))
-    n = k.n_coeffs
-    coords = [Fraction(0)] * (n * n_outcomes)
-    for w, p in zip(weights, povms):
-        for i, c in enumerate(p.coords()):
+def random_feasible_povm(rng, catalog) -> SymPovm:
+    """Random convex combination of the vertices of a catalog_extrema
+    VertexSet (hence feasible)."""
+    weights = random_distribution(rng, len(catalog.points))
+    coords = [Fraction(0)] * len(catalog.points[0][0])
+    for w, (x, _) in zip(weights, catalog.points):
+        for i, c in enumerate(x):
             coords[i] += w * c
-    return povm_from_coords(k, n_outcomes, coords)
+    return povm_from_coords(catalog.kind, catalog.n_outcomes, coords)
 
 
 def random_feasible_target(rng, k, n_outcomes) -> SymPovm:
-    """Random feasible isotropic/werner POVM via the protocol inverse map."""
-    d = k.dim
+    """Random feasible isotropic/werner POVM: outcome j is x_j v1 + y_j v2
+    for random distributions x, y and the class table's pair (v1, v2), the
+    images of the protocol's point masses."""
+    ((v1, v2),) = pair_classes(k)
     xs = random_distribution(rng, n_outcomes)
     ys = random_distribution(rng, n_outcomes)
-    elems = []
-    for x, y in zip(xs, ys):
-        if k.family is Family.ISOTROPIC:
-            a, b = x, (d * y + x) / (d + 1)
-        else:
-            a, b = y, (2 * x + (d - 1) * y) / (d + 1)
-        elems.append(CoeffVector(k, (a, b)))
-    return SymPovm(k, tuple(elems))
+    return SymPovm(k, tuple(CoeffVector(k, tuple(x * a + y * b for a, b in zip(v1, v2)))
+                            for x, y in zip(xs, ys)))
 
 
 def random_hermitian(rng, d, den=7) -> BipartiteOperator:
@@ -141,7 +137,7 @@ def criterion_2_oo_three_outcome(seed=0):
         cat = catalog_extrema(k, 3)
         if env.povm_keys() != cat.povm_keys():
             return False, f"d={d}: catalog mismatch"
-        triples = [p for p, _, _ in env.canonical_classes()
+        triples = [p for p, _ in env.canonical_classes()
                    if len(p.nonzero_elements()) == 3]
         want = SymPovm(k, tuple(CoeffVector(k, c)
                                 for c in oo_three_outcome_elements(d))).canonical()
@@ -203,7 +199,7 @@ def criterion_4_protocol_exactness(seed=0):
                     return False, f"{fam} d={d}: dense twirl disagrees"
     k = kind("bell", 2)
     for n in (2, 3, 4):
-        for povm, _, _ in catalog_extrema(k, n).canonical_classes():
+        for povm in catalog_classes(k, n):
             proto = protocol_for_vertex(povm)
             report = verify_protocol(proto, povm)
             if not report.ok:
@@ -214,7 +210,7 @@ def criterion_4_protocol_exactness(seed=0):
         k = kind("oo", d)
         states = build_pure_state_set(d)
         for n in (2, 3):
-            for povm, _, _ in catalog_extrema(k, n).canonical_classes():
+            for povm in catalog_classes(k, n):
                 proto = protocol_for_vertex(povm, states)
                 report = verify_protocol(proto, povm)
                 if not report.ok:
@@ -364,7 +360,7 @@ def criterion_9_property_suites(seed=0):
         k = kind(fam, d)
         catalog = catalog_extrema(k, n)
         for _ in range(1000):
-            p = random_feasible_povm(rng, k, n)
+            p = random_feasible_povm(rng, catalog)
             if not is_feasible(p).feasible:
                 return False, f"{fam}: sampled POVM infeasible"
             res = convex_decompose(p, catalog)
@@ -377,7 +373,7 @@ def criterion_9_property_suites(seed=0):
             if tuple(coords) != p.coords():
                 return False, f"{fam}: decomposition does not reconstruct"
         verts = catalog.ordered_povms()
-        for povm, _, _ in catalog.canonical_classes():
+        for povm, _ in catalog.canonical_classes():
             if not is_extremal(povm).extremal:
                 return False, f"{fam}: catalog vertex not extremal"
         for _ in range(1000):

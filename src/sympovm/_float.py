@@ -12,18 +12,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import KrausPair
+from .operators import KrausPair, parse_fraction
 from .protocols import _BELL_CONJUGATIONS, _projector_traces, _verification
 from .symmetry import basis_traces
 
 
+def _real(x, where) -> float:
+    """A "p/q" string or a plain number as a float, read through
+    operators.parse_fraction: NaN, an infinity, a bad string or a value
+    beyond the float range is a ValueError naming where; a plain number
+    keeps its value bit for bit."""
+    value = parse_fraction(x, where)
+    try:
+        return float(value if isinstance(x, str) else x)
+    except OverflowError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def grid_from_json(rows, where):
     """A checked JSON grid (operators.json_grid) as a complex array."""
-    try:
-        return np.array([[float(p[0]) + 1j * float(p[1]) for p in row] for row in rows],
-                        dtype=complex)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    return np.array([[_real(p[0], f"{where}[{r}][{c}]") +
+                      1j * _real(p[1], f"{where}[{r}][{c}]")
+                      for c, p in enumerate(row)] for r, row in enumerate(rows)],
+                    dtype=complex)
 
 
 def factor_psd(g, eps) -> bool:

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = success / verified, 1 = infeasible or mismatch (a
-certificate is printed), 2 = usage error.  Rational values serialise as
+certificate is printed) or a failed internal cross-check (a RuntimeError
+such as "LP optimum != catalog sweep" or an unbounded LP, reported on one
+"error:" line of stderr), 2 = usage error.  Rational values serialise as
 "p/q" strings so output is byte-identical across runs for fixed flags
 and seed.
 """
@@ -127,7 +129,7 @@ def cmd_extrema(args):
     vs = catalog_extrema(_family_kind(args), args.outcomes)
     if args.format == "csv":
         rows = [("class", "multiplicity", "elements")]
-        for i, (povm, mult, _) in enumerate(vs.canonical_classes()):
+        for i, (povm, mult) in enumerate(vs.canonical_classes()):
             elems = ";".join("|".join(str(c) for c in e.coeffs)
                              for e in povm.elements)
             rows.append((i, mult, elems))
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed cross-check is a real mismatch
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

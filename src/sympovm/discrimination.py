@@ -4,10 +4,12 @@ States invariant under one of the supported families are classical
 objects in coefficient space: a state is its vector of projector weights
 p_i = tr(rho Pi_i), and an invariant POVM element v assigns it outcome
 probability sum_i v_i p_i.  Local optima are therefore exact LPs over the
-feasible polytope; a sweep over the extremal catalog (with per-outcome
-optimal guess relabelling) must reach the same value, and the two are
-cross-checked on every call.  Mutual information is maximised over the
-catalog alone, a convex function attaining its maximum at a vertex.
+feasible polytope; a sweep over the extremal classes of
+``extremal.catalog_classes`` (one canonical POVM per class, with
+per-outcome optimal guess relabelling) must reach the same value, and the
+two are cross-checked on every call (a mismatch is a RuntimeError).
+Mutual information is maximised over the same classes alone, a convex
+function attaining its maximum at a vertex.
 
 Global discrimination of commuting states reduces to classically
 distinguishing their projector-weight distributions.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exactlin import frac
-from .extremal import catalog_extrema
+from .extremal import catalog_classes
 from .feasible import LinearProgram, SymPovm, build_feasible_polytope, lp_solve
 from .symmetry import SymmetryKind, basis_traces, twirl_coefficients
 
@@ -110,7 +112,7 @@ class LocalBayesResult:
 
 
 def optimal_local_bayes(problem: DiscriminationProblem) -> LocalBayesResult:
-    """Exact LP over the feasible polytope, cross-checked by catalog sweep.
+    """Exact LP over the feasible polytope, cross-checked by a class sweep.
 
     Bayes success is maximised (cost matrices are minimised); the LP fixes
     guess k on outcome k while the sweep relabels each extremal outcome to
@@ -137,7 +139,7 @@ def optimal_local_bayes(problem: DiscriminationProblem) -> LocalBayesResult:
     lp_povm = povm_from_coords(k, n_states, res.point)
 
     best = None
-    for povm, _, _ in catalog_extrema(k, n_states).canonical_classes():
+    for povm in catalog_classes(k, n_states):
         total = Fraction(0)
         guesses = []
         for e in povm.elements:
@@ -179,7 +181,7 @@ class LocalInfoResult:
 
 
 def optimal_local_info(problem: DiscriminationProblem) -> LocalInfoResult:
-    """Best mutual information over the extremal catalog.
+    """Best mutual information over the extremal classes.
 
     Mutual information is convex in the POVM, so the maximum over the
     feasible set is attained at an extremal measurement; extremal POVMs
@@ -187,7 +189,7 @@ def optimal_local_info(problem: DiscriminationProblem) -> LocalInfoResult:
     """
     k = problem.kind
     best = None
-    for povm, _, _ in catalog_extrema(k, k.n_coeffs).canonical_classes():
+    for povm in catalog_classes(k, k.n_coeffs):
         channel = tuple(outcome_distribution(povm, s) for s in problem.states)
         bits = mutual_information_bits(problem.priors, channel)
         if best is None or bits > best[0]:

@@ -1,5 +1,10 @@
 """Extremal feasible POVMs: vertex enumeration, catalogs, certificates.
 
+Each family's extremal classes up to outcome order are written once, in
+closed form, in ``extremal_classes``; the ordered catalog (every placement
+of a class), the class sweep (``catalog_classes``), the basic vectors and
+the oo named elements are read from it.
+
 Two independent enumeration routes are provided.  The primary one is an
 exact double-description sweep (incremental halfspace insertion on the
 homogenised cone, integer ray arithmetic, combinatorial adjacency).  The
@@ -72,11 +77,12 @@ class VertexSet:
                          for p in self.ordered_povms())
 
     def canonical_classes(self):
-        """(canonical povm, multiplicity, representative active set), sorted."""
+        """(canonical povm, multiplicity) of each outcome-permutation class,
+        sorted by the canonical elements."""
         groups = {}
-        for (coords, active), povm in zip(self.points, self.ordered_povms()):
-            key = tuple(e.coeffs for e in povm.canonical().elements)
-            entry = groups.setdefault(key, [povm.canonical(), 0, active])
+        for povm in self.ordered_povms():
+            canon = povm.canonical()
+            entry = groups.setdefault(tuple(e.coeffs for e in canon.elements), [canon, 0])
             entry[1] += 1
         return [tuple(groups[k]) for k in sorted(groups)]
 
@@ -93,7 +99,7 @@ class VertexSet:
             out["classes"] = [{"elements": [[str(c) for c in e.coeffs]
                                             for e in povm.elements],
                                "multiplicity": mult}
-                              for povm, mult, _ in self.canonical_classes()]
+                              for povm, mult in self.canonical_classes()]
         return out
 
     @classmethod
@@ -257,7 +263,11 @@ def enumerate_vertices(polytope: Polytope) -> VertexSet:
 # ---------------------------------------------------------------------------
 # brute-force active-set oracle
 
-def brute_force_vertices(polytope: Polytope, chunk=60000) -> VertexSet:
+# combinations screened per numpy batch by brute_force_vertices
+_SCREEN_CHUNK = 60000
+
+
+def brute_force_vertices(polytope: Polytope) -> VertexSet:
     """Independent enumeration oracle: all maximal-rank active subsets.
 
     Reduced dimension must be <= 8.  Candidate active sets are screened in
@@ -287,7 +297,7 @@ def brute_force_vertices(polytope: Polytope, chunk=60000) -> VertexSet:
     candidates = {}
     combo_iter = itertools.combinations(range(K), m)
     while True:
-        block = list(itertools.islice(combo_iter, chunk))
+        block = list(itertools.islice(combo_iter, _SCREEN_CHUNK))
         if not block:
             break
         idx = np.array(block, dtype=np.intp)
@@ -382,87 +392,94 @@ def perturbed(p: SymPovm, delta: SymPovm, sign=1) -> SymPovm:
 
 
 # ---------------------------------------------------------------------------
-# analytic catalogs
+# the class table and the catalogs placed from it
+
+def _rest(*parts):
+    """The identity element minus ``parts``, coefficient by coefficient."""
+    return tuple(1 - sum(c) for c in zip(*parts))
+
+
+def extremal_classes(k: SymmetryKind) -> tuple:
+    """Every extremal class of family k up to outcome order, in closed form.
+
+    A class is the tuple of its nonzero elements.  The order is fixed: the
+    identity; the two-outcome pairs (the isotropic/werner images of the
+    protocol's point masses x = 1 and y = 1, the three Bell pairs (c, 1 - c),
+    oo's B, C and D); then oo's genuine three-outcome triple (B1, M2, C1).
+    At oo d = 2 the triple's middle element is 0, and B, C and the triple
+    are one class.
+    """
+    d = k.dim
+    zero, one = Fraction(0), Fraction(1)
+    ident = (one,) * k.n_coeffs
+    if k.family is Family.BELL:
+        firsts = [tuple(Fraction(int(i in (0, j))) for i in range(4)) for j in (1, 2, 3)]
+        return ((ident,),) + tuple((c, _rest(c)) for c in firsts)
+    if k.family is Family.OO:
+        den = Fraction((d + 2) * (d - 1))
+        b1 = (zero, zero, 2 * d / den)
+        c1 = (one, one / (d - 1), (d - 2) / den)
+        d1 = (one, zero, Fraction(2, d + 2))
+        triple = (b1, _rest(b1, c1), c1)
+        return ((ident,),) + tuple((c, _rest(c)) for c in (b1, c1, d1)) + \
+            (tuple(e for e in triple if any(e)),)
+    # the images of the point masses x = 1 and y = 1
+    if k.family is Family.ISOTROPIC:
+        return (ident,), ((one, Fraction(1, d + 1)), (zero, Fraction(d, d + 1)))
+    return (ident,), ((zero, Fraction(2, d + 1)), (one, Fraction(d - 1, d + 1)))
+
+
+def pair_classes(k: SymmetryKind) -> tuple:
+    """The two-outcome classes of the table, each (element, complement)."""
+    return extremal_classes(k)[1:4]  # oo's triple comes after B, C and D
+
 
 def oo_two_outcome_elements(d: int) -> dict:
-    """The eight two-outcome extremal elements, keyed A1..D2."""
-    den = Fraction((d + 2) * (d - 1))
-    return {
-        "A1": (Fraction(0), Fraction(0), Fraction(0)),
-        "A2": (Fraction(1), Fraction(1), Fraction(1)),
-        "B1": (Fraction(0), Fraction(0), Fraction(2 * d) / den),
-        "B2": (Fraction(1), Fraction(1), Fraction((d + 1) * (d - 2)) / den),
-        "C1": (Fraction(1), Fraction(1, d - 1), Fraction(d - 2) / den),
-        "C2": (Fraction(0), Fraction(d - 2, d - 1), Fraction(d * d) / den),
-        "D1": (Fraction(1), Fraction(0), Fraction(2, d + 2)),
-        "D2": (Fraction(0), Fraction(1), Fraction(d, d + 2)),
-    }
+    """The eight two-outcome extremal elements, keyed A1..D2 (A is 0 and 1)."""
+    (ident,), *pairs = extremal_classes(SymmetryKind(Family.OO, d))[:4]
+    named = {"A1": (Fraction(0),) * 3, "A2": ident}
+    for letter, (x1, x2) in zip("BCD", pairs):
+        named[letter + "1"], named[letter + "2"] = x1, x2
+    return named
 
 
 def oo_three_outcome_elements(d: int) -> tuple:
-    """The unique genuine 3-outcome extremal triple (M1, M2, M3)."""
-    den = Fraction((d + 2) * (d - 1))
-    m1 = (Fraction(0), Fraction(0), Fraction(2 * d) / den)
-    m2 = (Fraction(0), Fraction(d - 2, d - 1), Fraction(d * (d - 2)) / den)
-    m3 = (Fraction(1), Fraction(1, d - 1), Fraction(d - 2) / den)
-    return m1, m2, m3
+    """The genuine 3-outcome extremal triple (M1, M2, M3) of the table, with
+    M2 = 1 - M1 - M3 kept where it is 0 (d = 2)."""
+    m1, *_, m3 = extremal_classes(SymmetryKind(Family.OO, d))[-1]
+    return m1, _rest(m1, m3), m3
 
 
-def _placements(n_outcomes, parts, zero):
-    """All ordered POVMs placing ``parts`` into distinct slots, rest zero."""
-    out = set()
-    for slots in itertools.permutations(range(n_outcomes), len(parts)):
-        elems = [zero] * n_outcomes
-        for s, part in zip(slots, parts):
-            elems[s] = part
-        out.add(tuple(elems))
-    return out
+def _fitting_classes(k: SymmetryKind, n_outcomes: int):
+    """The table's classes with at most n_outcomes nonzero elements."""
+    if n_outcomes < 1:
+        raise ValueError("need at least one outcome")
+    return [parts for parts in extremal_classes(k) if len(parts) <= n_outcomes]
 
 
 def catalog_extrema(k: SymmetryKind, n_outcomes: int) -> VertexSet:
-    """Closed-form extremal catalog (ordered POVMs, canonically grouped)."""
-    if n_outcomes < 1:
-        raise ValueError("need at least one outcome")
-    d = k.dim
-    n = k.n_coeffs
-    zero = (Fraction(0),) * n
-    povm_tuples = set()
-    if k.family in (Family.ISOTROPIC, Family.WERNER):
-        # images of {0,1} point-mass protocol distributions
-        for xi in range(n_outcomes):
-            for yi in range(n_outcomes):
-                elems = []
-                for kk in range(n_outcomes):
-                    x = Fraction(int(kk == xi))
-                    y = Fraction(int(kk == yi))
-                    if k.family is Family.ISOTROPIC:
-                        a, b = x, (d * y + x) / (d + 1)
-                    else:
-                        a, b = y, (2 * x + (d - 1) * y) / (d + 1)
-                    elems.append((a, b))
-                povm_tuples.add(tuple(elems))
-    elif k.family is Family.BELL:
-        ident = (Fraction(1),) * 4
-        povm_tuples |= _placements(n_outcomes, [ident], zero)
-        if n_outcomes >= 2:
-            for subset in itertools.combinations(range(4), 2):
-                col1 = tuple(Fraction(int(i in subset)) for i in range(4))
-                col2 = tuple(1 - c for c in col1)
-                povm_tuples |= _placements(n_outcomes, [col1, col2], zero)
-    else:
-        pairs = oo_two_outcome_elements(d)
-        povm_tuples |= _placements(n_outcomes, [pairs["A2"]], zero)
-        for letter in "BCD":
-            povm_tuples |= _placements(n_outcomes,
-                                       [pairs[letter + "1"], pairs[letter + "2"]],
-                                       zero)
-        if n_outcomes >= 3:
-            povm_tuples |= _placements(n_outcomes,
-                                       list(oo_three_outcome_elements(d)), zero)
+    """The extremal n-outcome POVMs: every placement of a class of the table
+    into distinct outcomes, sorted, with the active constraints of each."""
+    zero = (Fraction(0),) * k.n_coeffs
+    pts = set()
+    for parts in _fitting_classes(k, n_outcomes):
+        for slots in itertools.permutations(range(n_outcomes), len(parts)):
+            placed = dict(zip(slots, parts))
+            pts.add(tuple(c for s in range(n_outcomes) for c in placed.get(s, zero)))
     poly = build_feasible_polytope(k, n_outcomes, eliminate=False)
-    pts = sorted(tuple(c for e in povm for c in e) for povm in povm_tuples)
-    points = tuple((x, poly.active_labels(x)) for x in pts)
+    points = tuple((x, poly.active_labels(x)) for x in sorted(pts))
     return VertexSet(k, n_outcomes, points, eliminated=False)
+
+
+def catalog_classes(k: SymmetryKind, n_outcomes: int) -> list:
+    """The canonical n-outcome POVM of each class of the table, sorted as
+    ``VertexSet.canonical_classes`` sorts them; no ordered catalog is built."""
+    zero = (Fraction(0),) * k.n_coeffs
+    classes = {}
+    for parts in _fitting_classes(k, n_outcomes):
+        elems = sorted(parts + (zero,) * (n_outcomes - len(parts)))
+        classes[tuple(elems)] = SymPovm(k, tuple(CoeffVector(k, e) for e in elems))
+    return [classes[key] for key in sorted(classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +492,13 @@ class BasicVectorSet:
 
 
 def basic_vectors(k: SymmetryKind) -> BasicVectorSet:
-    """Conic generators of the feasible elements for a family."""
-    d = k.dim
-    if k.family is Family.BELL:
-        vecs = sorted(set(itertools.permutations((1, 1, 0, 0))))
-        vecs.append((0, 0, 0, 0))
-        vecs.append((1, 1, 1, 1))
-        out = [tuple(Fraction(v) for v in vec) for vec in vecs]
-    elif k.family is Family.OO:
-        pairs = oo_two_outcome_elements(d)
-        out = [pairs[key] for key in ("A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2")]
-    elif k.family is Family.ISOTROPIC:
-        out = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
-               (Fraction(1), Fraction(1, d + 1)), (Fraction(0), Fraction(d, d + 1))]
-    else:
-        out = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
-               (Fraction(0), Fraction(2, d + 1)),
-               (Fraction(1), Fraction(d - 1, d + 1))]
+    """Conic generators of the feasible elements: 0, the identity and the
+    elements of the table's two-outcome pairs (Bell: the pair elements
+    sorted, then 0 and the identity)."""
+    zero = (Fraction(0),) * k.n_coeffs
+    ident = extremal_classes(k)[0][0]
+    elems = [e for pair in pair_classes(k) for e in pair]
+    out = sorted(elems) + [zero, ident] if k.family is Family.BELL else [zero, ident] + elems
     return BasicVectorSet(k, tuple(CoeffVector(k, v) for v in out))
 
 
@@ -566,14 +573,10 @@ def check_lemma_properties(catalog: VertexSet) -> LemmaReport:
     k = catalog.kind
     n = k.n_coeffs
     two_out = [v.coeffs for v in basic_vectors(k).vectors if any(v.coeffs)]
-    if k.family is Family.OO:
-        pair_of = {}
-        named = oo_two_outcome_elements(k.dim)
-        for letter in "ABCD":
-            for tag in ("1", "2"):
-                pair_of[named[letter + tag]] = letter
+    # the letter of each element of the identity class (A) and of oo's pairs
+    pair_of = {e: letter for letter, cls in zip("ABCD", extremal_classes(k)) for e in cls}
     checks = []
-    for vi, (povm, _, _) in enumerate(catalog.canonical_classes()):
+    for vi, (povm, _) in enumerate(catalog.canonical_classes()):
         nz = [e.coeffs for e in povm.nonzero_elements()]
         indep = _exactlin.rank([list(map(Fraction, e)) for e in nz]) == len(nz)
         checks.append(LemmaCheck(vi, "nonzero-elements-independent", indep,
@@ -585,21 +588,15 @@ def check_lemma_properties(catalog: VertexSet) -> LemmaReport:
                                      f"{tight} tight of {len(nz)}"))
         if k.family is Family.OO and len(nz) >= 3:
             letters = []
-            uses_identity = False
             for e in nz:
-                match = None
-                for w, letter in pair_of.items():
-                    if _proportional_to(e, w) is not None:
-                        match = (letter, w)
-                        break
-                if match is None:
+                letter = next((tag for w, tag in pair_of.items()
+                               if _proportional_to(e, w) is not None), None)
+                if letter is None:
                     letters = None
                     break
-                if match[1] == named["A2"]:
-                    uses_identity = True
-                letters.append(match[0])
+                letters.append(letter)
             ok = (letters is not None and len(set(letters)) == len(letters)
-                  and not uses_identity)
+                  and "A" not in letters)
             checks.append(LemmaCheck(vi, "oo-no-complementary-pair", ok,
                                      f"pair letters {letters}"))
         if len(nz) == n:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exactlin import det, inverse, mat_mul
-from .extremal import oo_two_outcome_elements
+from .extremal import basic_vectors, pair_classes
 from .feasible import LinearProgram, Polytope, lp_solve
 from .symmetry import Family, SymmetryKind, pt_coefficient_map
 
@@ -119,19 +119,7 @@ class NoGoCertificate:
                                for L in self.transforms]}
 
 
-def _pair_vertices_oo(d):
-    named = oo_two_outcome_elements(d)
-    return [(named["B1"], named["B2"]), (named["C1"], named["C2"]),
-            (named["D1"], named["D2"])], (named["A1"], named["A2"])
-
-
-def _pair_vertices_isotropic(d):
-    v1 = (Fraction(1), Fraction(1, d + 1))
-    v2 = (Fraction(0), Fraction(d, d + 1))
-    return [(v1, v2)], ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-
-
-def _vertex_matching_cases(pairs, trivial, pt_matrix):
+def _vertex_matching_cases(pairs, vertices, pt_matrix):
     """Route (i): all assignments of cube vertex pairs to polytope pairs.
 
     Returns the cases and the admissible transforms L among them.
@@ -141,13 +129,6 @@ def _vertex_matching_cases(pairs, trivial, pt_matrix):
     nontrivial pair (e2 = 1 - e1), so only the orientation is free.
     """
     n = len(pairs[0][0])
-    zero, ones = trivial
-    vertex_set = set()
-    for p1, p2 in pairs:
-        vertex_set.add(p1)
-        vertex_set.add(p2)
-    vertex_set.add(zero)
-    vertex_set.add(ones)
     candidates = []
     if n == 2:
         v1, v2 = pairs[0]
@@ -170,7 +151,7 @@ def _vertex_matching_cases(pairs, trivial, pt_matrix):
             img = tuple(sum(cols[j][i] * bits[j] for j in range(n))
                         for i in range(n))
             images.add(img)
-        if images != vertex_set:
+        if images != vertices:
             failures.append("vertex-images-mismatch")
         cases.append(NoGoCase("vertex-matching", label,
                               not failures, tuple(failures)))
@@ -225,27 +206,28 @@ def _unit_row_cases(pt_matrix, n):
     return cases
 
 
-def _search(pairs, trivial, pt_matrix, dim, family):
-    cases, transforms = _vertex_matching_cases(pairs, trivial, pt_matrix)
+def _search(k: SymmetryKind) -> NoGoCertificate:
+    """Both routes for family k: the class table's two-outcome pairs, whose
+    elements with 0 and 1 (the basic vectors) are the polytope's vertices."""
+    pt_matrix = pt_coefficient_map(k).matrix
+    vertices = {v.coeffs for v in basic_vectors(k).vectors}
+    cases, transforms = _vertex_matching_cases(list(pair_classes(k)), vertices, pt_matrix)
     cases += _unit_row_cases(pt_matrix, len(pt_matrix))
     verdict = "feasible" if any(c.feasible for c in cases) else "infeasible"
-    return NoGoCertificate(dim, family, verdict, tuple(cases), tuple(transforms))
+    return NoGoCertificate(k.dim, k.family.value, verdict, tuple(cases),
+                           tuple(transforms))
 
 
 def naive_transform_search(d: int) -> NoGoCertificate:
     """Exhaustive certificate for the oo family at local dimension d."""
     if d < 3:
         raise ValueError("the oo search needs d >= 3 (the d = 2 polytope degenerates)")
-    R = pt_coefficient_map(SymmetryKind(Family.OO, d)).matrix
-    pairs, trivial = _pair_vertices_oo(d)
-    return _search(pairs, trivial, R, d, "oo")
+    return _search(SymmetryKind(Family.OO, d))
 
 
 def isotropic_sanity_search(d: int) -> NoGoCertificate:
     """The same search on the isotropic family; must come out feasible."""
-    W = pt_coefficient_map(SymmetryKind(Family.ISOTROPIC, d)).matrix
-    pairs, trivial = _pair_vertices_isotropic(d)
-    return _search(pairs, trivial, W, d, "isotropic")
+    return _search(SymmetryKind(Family.ISOTROPIC, d))
 
 
 def recovered_protocol_map(cert: NoGoCertificate):

@@ -463,18 +463,18 @@ def _bell_element_terms(coeffs):
 def bell_protocol(extremum) -> LocalProtocol:
     """Product-basis protocol for a Bell catalog extremum.
 
-    Accepts the extremal SymPovm itself or an index into the canonical
-    classes of catalog_extrema(bell, 2).
+    Accepts the extremal SymPovm itself or an index into
+    catalog_classes(bell, 2).
     """
-    from .extremal import catalog_extrema
+    from .extremal import catalog_classes
     from .symmetry import kind as mk
 
     k = mk(Family.BELL, 2)
     if isinstance(extremum, int):
-        classes = catalog_extrema(k, 2).canonical_classes()
+        classes = catalog_classes(k, 2)
         if not 0 <= extremum < len(classes):
             raise ValueError(f"unknown Bell extremum index {extremum}")
-        extremum = classes[extremum][0]
+        extremum = classes[extremum]
     if extremum.kind != k:
         raise ValueError("bell_protocol needs a d=2 Bell POVM")
     outcomes = tuple(_bell_element_terms(e.coeffs) for e in extremum.elements)
@@ -503,7 +503,7 @@ def _oo_element_terms(coeffs, d, states: PureStateSet):
     from .extremal import oo_three_outcome_elements, oo_two_outcome_elements
 
     named = oo_two_outcome_elements(d)
-    m1, m2, m3 = oo_three_outcome_elements(d)
+    m2 = oo_three_outcome_elements(d)[1]  # M1 and M3 are B1 and C1
     ident = mat_eye(d)
     coeffs = tuple(coeffs)
     if coeffs == named["A1"]:
@@ -528,7 +528,6 @@ def _oo_element_terms(coeffs, d, states: PureStateSet):
     if coeffs == m2:
         return _oo_sum_terms(states,
                              lambda p: mat_sub(mat_sub(ident, p), _transpose_grid(p)))
-    _ = (m1, m3)  # aliases of B1 / C1, matched above
     raise ValueError(f"element {coeffs} is not an oo catalog extremum")
 
 

@@ -218,6 +218,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     huge_float.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [[{
         "w": "1", "a": float_factor([[1, 0], [0, 1]]),
         "b": {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]}))
+    not_finite = {}
+    for name, value in (("nan", float("nan")), ("inf", float("inf")), ("nan-str", "nan")):
+        not_finite[name] = tmp_path / f"{name}.json"
+        not_finite[name].write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [[{
+            "w": "1", "a": float_factor([[1, 0], [0, 1]]),
+            "b": {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, value], [1, 0]]]}}]]}))
     cases = [
         (("check", "--povm", listed), listed, "expected a JSON object"),
         (("decompose", "--povm", listed), listed, "expected a JSON object"),
@@ -229,7 +235,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "expected a JSON object with fields family, dim, states"),
         (("check", "--povm", elements5), elements5, "elements: expected a list"),
         (("protocol-verify", "--protocol", huge_float, "--target", target), huge_float,
-         "outcomes[0][0].b.entries: int too large to convert to float"),
+         "outcomes[0][0].b.entries[0][0]: int too large to convert to float"),
+        (("protocol-verify", "--protocol", not_finite["nan"], "--target", target),
+         not_finite["nan"], "outcomes[0][0].b.entries[1][0]: not a rational: nan"),
+        (("protocol-verify", "--protocol", not_finite["inf"], "--target", target),
+         not_finite["inf"], "outcomes[0][0].b.entries[1][0]: not a rational: inf"),
+        (("protocol-verify", "--protocol", not_finite["nan-str"], "--target", target),
+         not_finite["nan-str"], "outcomes[0][0].b.entries[1][0]: not a rational: 'nan'"),
     ]
     for argv, path, message in cases:
         code, out, err = run(capsys, *map(str, argv))
@@ -252,17 +264,38 @@ def test_protocol_synth_ppt_violating_target_exits_1(tmp_path, capsys):
 
 def test_protocol_file_mixing_exact_and_float_factors_reads_as_float(tmp_path, capsys):
     exact_one = {"dim": 2, "entries": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}
+    # a "p/q" string keeps its rational value in float mode too
+    half = {"dim": 2, "entries": [[["1/2", "0"], ["0", "0"]], [["0", "0"], ["1/2", "0"]]]}
     float_one = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
-    ppath = tmp_path / "protocol.json"
-    ppath.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [
-        [{"w": "1", "a": exact_one, "b": float_one}]]}))
     tpath = tmp_path / "target.json"
     tpath.write_text(json.dumps({"family": "isotropic", "dim": 2,
                                  "elements": [["1", "1"]]}))
-    code, out, _ = run(capsys, "protocol-verify", "--protocol", str(ppath),
-                       "--target", str(tpath))
-    assert code == 0
-    assert json.loads(out)["ok"] is True
+    for w, a in (("1", exact_one), ("2", half)):
+        ppath = tmp_path / "protocol.json"
+        ppath.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [
+            [{"w": w, "a": a, "b": float_one}]]}))
+        code, out, err = run(capsys, "protocol-verify", "--protocol", str(ppath),
+                             "--target", str(tpath))
+        assert (code, err) == (0, ""), w
+        assert json.loads(out)["ok"] is True
+
+
+def test_failed_cross_check_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    from sympovm import discrimination
+
+    classes = discrimination.catalog_classes
+
+    def without_the_optimal_pair(k, n):
+        return [p for p in classes(k, n) if len(p.nonzero_elements()) < 2]
+
+    monkeypatch.setattr(discrimination, "catalog_classes", without_the_optimal_pair)
+    path = tmp_path / "states.json"
+    path.write_text(json.dumps({"family": "isotropic", "dim": 2,
+                                "states": [["1", "0"], ["0", "1"]]}))
+    code, out, err = run(capsys, "discriminate", "--states", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: LP optimum 5/6 != catalog sweep 1/2; "
+                   "the extremal catalog is incomplete\n")
 
 
 def float_factor(rows):
@@ -287,7 +320,8 @@ Y_PLUS = [[0.5, -0.5j], [0.5j, 0.5]]
 Y_MINUS = [[0.5, 0.5j], [-0.5j, 0.5]]
 
 # Inputs and sha256 digests of stdout for LP, double-description, no-go,
-# basis, catalog and float protocol-verify commands.  The digests pin the
+# basis, catalog, bell protocol-synth, discrimination and float
+# protocol-verify commands.  The digests pin the
 # exact output byte for byte: a change to the elimination kernel, the
 # simplex, the DD, the commutant table or the float mode must leave every
 # one unchanged.
@@ -316,6 +350,10 @@ DIGEST_FILES = {
         ["1", "1/5"], ["0", "4/5"]]},
     "werner-check.json": {"family": "werner", "dim": 3, "elements": [
         ["1/3", "1"], ["2/3", "0"]]},
+    # four Bell-diagonal mixed states: the abstract's local discrimination case
+    "bell-diagonal.json": {"family": "bell", "dim": 2, "states": [
+        ["1/2", "1/4", "1/8", "1/8"], ["1/8", "1/2", "1/4", "1/8"],
+        ["1/8", "1/8", "1/2", "1/4"], ["1/4", "1/8", "1/8", "1/2"]]},
 }
 DIGESTS = [
     ("nogo --dim 3 --json", 0,
@@ -360,6 +398,30 @@ DIGESTS = [
      "8a4ad1af51c3dec307dacc0fe52c641f1aa7213cba338c59d85e7970cab71a19"),
     ("protocol-verify --protocol bell-float.json --target bell-target.json", 0,
      "8a4ad1af51c3dec307dacc0fe52c641f1aa7213cba338c59d85e7970cab71a19"),
+    ("extrema --family oo --dim 2 --outcomes 3 --format csv", 0,
+     "511f02ec26c9949ac71b67f48560cfc3597f6888d16bf4ee54cff25ebbb49c26"),
+    ("extrema --family oo --dim 3 --outcomes 4", 0,
+     "1873d5d10410965f80ed85f91a24f66547146d353502e01175383bd6a4bede47"),
+    ("extrema --family bell --dim 2 --outcomes 4 --format csv", 0,
+     "7c58c8d5f8e17c5047bc01674fd2e31c0e1e26fed66536330e6cff204c323747"),
+    ("extrema --family isotropic --dim 3 --outcomes 1", 0,
+     "b69ac30226b54dcdea922cbec5e185fcf75040fea37ae88919ec267b227080aa"),
+    ("protocol-synth --family bell --extremum-index 0", 0,
+     "8ecb0202a40294cc6fa8c698395cdfb3d740ff8af7bef09ef91f37f98bd34ba0"),
+    ("protocol-synth --family bell --extremum-index 1", 0,
+     "01378e31b8eefc1f2df484dfd2c3b2ddc3f1f4e4ff1cd846f9466513b9811507"),
+    ("protocol-synth --family bell --extremum-index 2", 0,
+     "b12ef736e29a159cf6b90da122805f32fa7a8d2d30a448e3ed55e9a5e0f9558d"),
+    ("protocol-synth --family bell --extremum-index 3", 0,
+     "47e07f0c72f9ee08bcdb4f5a07205a69999df2182b383924858c97f7879b3524"),
+    ("nogo --dim 4 --json", 0,
+     "9b0f086d33bf1b2a2f69c2f22e315df66c96b9530f16c12758b60f6db49cdd6a"),
+    ("discriminate --states states.json --cost info", 0,
+     "82f646312e688df9980020c2f55d16bb1c2548720d7b52b1c1a584270c39ec2e"),
+    ("discriminate --states bell-diagonal.json --cost bayes", 0,
+     "d617b0e7c14e13d977fcee4d10d18494637a2176f32ad350fabb65b2b02b2d03"),
+    ("discriminate --states bell-diagonal.json --cost info", 0,
+     "71f05e7ac217fc5c172ab35ba83cc1bbf96e0a525a18da5abb4e1a79ffa27be4"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Vertex enumeration, catalogs, extremality and basic-vector tests."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,10 +12,12 @@ from sympovm.extremal import (
     EmptyPolytopeError,
     basic_vectors,
     brute_force_vertices,
+    catalog_classes,
     catalog_extrema,
     check_lemma_properties,
     decompose_into_basic,
     enumerate_vertices,
+    extremal_classes,
     is_extremal,
     oo_three_outcome_elements,
     oo_two_outcome_elements,
@@ -126,13 +130,68 @@ def test_oo_catalog_three_outcome_triple_d3():
     assert (m1, m2, m3) in keys
 
 
+# sha256 of the catalog vertices (coordinates and active labels) for d = 2..6
+# (bell: d = 2) and N = 1..5, and of the basic vectors for the same dims, as
+# the three-branch closed-form catalog produced them before the class table
+CATALOG_DIGESTS = {
+    "isotropic": ("0be07c7d7ace8bec46440a5a6b700fd46659bdd37833175bbf21d3d5f314d77e",
+                  "6f07920e555692980b27ec0c5d1aa17f25f68740421fb22eb6f67ffb307ea92a"),
+    "werner": ("dc71165fef10f99007e2dc172e778f45ecbb4cd2a576edb981ae10b85f38514c",
+               "5f259c1578fb93750e17bc5d602dd13ff24ce5621b0e92585cda036b8b952413"),
+    "bell": ("062bb4c4e674890fbb2049c9a27043145d574538b0a9913885cd5a4b04371480",
+             "805edd6d144ab02aa54f59a8851dfd9a4ca532b63d870f40db1236913b9e6eed"),
+    "oo": ("65006fec1975fdd5a3d537989a33dd9b760b48373b80e968069f12114e827191",
+           "00f0d4f0889f1e79ae98d268af38a4c9944b9d1d45c3fd497629a8fd81371f79"),
+}
+
+
+def family_dims(fam):
+    return (2,) if fam == "bell" else range(2, 7)
+
+
+def sha256_json(blob):
+    return hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fam", sorted(CATALOG_DIGESTS))
+def test_class_table_places_the_recorded_catalogs(fam):
+    points = []
+    for d in family_dims(fam):
+        for n in range(1, 6):
+            catalog = catalog_extrema(kind(fam, d), n)
+            assert catalog_classes(kind(fam, d), n) == \
+                [p for p, _ in catalog.canonical_classes()], (d, n)
+            points.append(catalog.to_json()["vertices"])
+    assert sha256_json(points) == CATALOG_DIGESTS[fam][0]
+
+
+@pytest.mark.parametrize("fam", sorted(CATALOG_DIGESTS))
+def test_basic_vectors_read_the_class_table_in_the_recorded_order(fam):
+    vectors = [[[str(c) for c in v.coeffs] for v in basic_vectors(kind(fam, d)).vectors]
+               for d in family_dims(fam)]
+    assert sha256_json(vectors) == CATALOG_DIGESTS[fam][1]
+
+
+def test_class_table_sizes_and_oo_d2_coincidences():
+    for fam, count in (("isotropic", 2), ("werner", 2), ("bell", 4), ("oo", 5)):
+        for d in family_dims(fam):
+            classes = extremal_classes(kind(fam, d))
+            assert len(classes) == count
+            assert all(any(e) for cls in classes for e in cls)
+    # at d = 2 the triple's middle element is 0: B, C and the triple are one class
+    assert len(catalog_classes(kind("oo", 2), 3)) == 3
+    assert [len(cls) for cls in extremal_classes(kind("oo", 2))] == [1, 2, 2, 2, 2]
+    with pytest.raises(ValueError):
+        catalog_classes(kind("oo", 3), 0)
+
+
 def test_is_extremal_on_catalog_and_mixtures():
     rng = random.Random(29)
     for fam, d, n in [("isotropic", 2, 2), ("bell", 2, 4), ("oo", 3, 3)]:
         k = kind(fam, d)
         catalog = catalog_extrema(k, n)
         povms = catalog.ordered_povms()
-        for povm, _, _ in catalog.canonical_classes():
+        for povm, _ in catalog.canonical_classes():
             report = is_extremal(povm)
             assert report.extremal
             assert report.rank == report.ambient
