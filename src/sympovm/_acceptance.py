@@ -76,8 +76,8 @@ def random_feasible_povm(rng, catalog) -> SymPovm:
     """Random convex combination of the vertices of a catalog_extrema
     VertexSet (hence feasible)."""
     weights = random_distribution(rng, len(catalog.points))
-    coords = [Fraction(0)] * len(catalog.points[0][0])
-    for w, (x, _) in zip(weights, catalog.points):
+    coords = [Fraction(0)] * len(catalog.points[0])
+    for w, x in zip(weights, catalog.points):
         for i, c in enumerate(x):
             coords[i] += w * c
     return povm_from_coords(catalog.kind, catalog.n_outcomes, coords)

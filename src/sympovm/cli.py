@@ -109,10 +109,10 @@ def cmd_check(args):
 
 def _vertex_output(vs, fmt):
     if fmt == "csv":
-        header = ["vertex"] + [f"c{i}" for i in range(len(vs.points[0][0]))]
+        header = ["vertex"] + [f"c{i}" for i in range(len(vs.points[0]))]
         _csv_rows([tuple(header)] +
                   [(i,) + tuple(str(c) for c in coords)
-                   for i, (coords, _) in enumerate(vs.points)])
+                   for i, coords in enumerate(vs.points)])
     else:
         _print_json(vs.to_json())
 
@@ -182,6 +182,8 @@ def cmd_protocol_synth(args):
 
 
 def cmd_protocol_verify(args):
+    if not 0 <= args.eps < float("inf"):
+        raise ValueError(f"--eps: expected a finite number >= 0, got {args.eps}")
     proto = _read(args.protocol, LocalProtocol.from_json)
     target = _read(args.target, SymPovm.from_json)
     report = verify_protocol(proto, target, eps=args.eps)

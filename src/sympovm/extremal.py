@@ -47,24 +47,24 @@ class EmptyPolytopeError(ValueError):
 class VertexSet:
     """Vertices of a feasible-POVM polytope, canonically sorted.
 
-    ``points`` holds raw polytope coordinates with their active-constraint
-    labels; the POVM views expand eliminated two-outcome polytopes back to
-    both elements.
+    ``points`` holds raw polytope coordinates; the POVM views expand
+    eliminated two-outcome polytopes back to both elements.  The constraints
+    active at each point are derived from the polytope on output.
     """
 
     kind: SymmetryKind | None
     n_outcomes: int | None
-    points: tuple  # of (coords tuple, active labels tuple or None)
+    points: tuple  # of coords tuples
     eliminated: bool = False
 
     def coords_set(self):
-        return frozenset(c for c, _ in self.points)
+        return frozenset(self.points)
 
     def ordered_povms(self):
         if self.kind is None:
             raise ValueError("geometry-only vertex set has no POVM view")
         out = []
-        for coords, _ in self.points:
+        for coords in self.points:
             if self.eliminated:
                 full = tuple(coords) + tuple(1 - v for v in coords)
             else:
@@ -87,10 +87,14 @@ class VertexSet:
         return [tuple(groups[k]) for k in sorted(groups)]
 
     def to_json(self) -> dict:
+        """The points with their active labels (null without a family)."""
+        poly = None if self.kind is None else \
+            build_feasible_polytope(self.kind, self.n_outcomes, eliminate=self.eliminated)
         out = {"count": len(self.points),
                "vertices": [{"coords": [str(c) for c in coords],
-                             "active": None if active is None else [list(a) for a in active]}
-                            for coords, active in self.points]}
+                             "active": None if poly is None else
+                             [list(a) for a in poly.active_labels(coords)]}
+                            for coords in self.points]}
         if self.kind is not None:
             out["family"] = self.kind.family.value
             out["dim"] = self.kind.dim
@@ -106,27 +110,36 @@ class VertexSet:
     def from_json(cls, obj) -> "VertexSet":
         """Read a vertex set; a wrong shape or value is a ValueError naming its field."""
         json_object(obj, "vertices")
-        k = kind_from_json(json_object(obj, "family", "dim")) if "family" in obj else None
+        k = kind_from_json(json_object(obj, "family", "dim", "outcomes")) \
+            if "family" in obj else None
         outcomes = obj.get("outcomes")
-        if outcomes is not None:
+        if outcomes is not None or k is not None:
             outcomes = parse_int(outcomes, "outcomes")
+        eliminated = obj.get("eliminated", False)
+        if not isinstance(eliminated, bool):
+            raise ValueError(f"eliminated: expected true or false, got {eliminated!r}")
+        width = None  # coordinates per point, known only with a family
+        if k is not None:
+            if outcomes < 1:
+                raise ValueError(f"outcomes: expected a positive integer, got {outcomes}")
+            if eliminated and outcomes != 2:
+                raise ValueError(f"eliminated: true needs outcomes 2, got {outcomes}")
+            width = k.n_coeffs * (1 if eliminated else outcomes)
         points = []
         for i, v in enumerate(json_list(obj["vertices"], "vertices")):
             where = f"vertices[{i}]"
             json_object(v, "coords", where=where)
-            coords = tuple(parse_fraction(c, f"{where}.coords[{j}]")
-                           for j, c in enumerate(json_list(v["coords"], f"{where}.coords")))
-            active = v.get("active")
-            if active is not None:
-                active = tuple(tuple(json_list(a, f"{where}.active[{j}]"))
-                               for j, a in enumerate(json_list(active, f"{where}.active")))
-            points.append((coords, active))
-        return cls(k, outcomes, tuple(points), eliminated=bool(obj.get("eliminated")))
+            coords = json_list(v["coords"], f"{where}.coords")
+            if width is not None and len(coords) != width:
+                raise ValueError(f"{where}.coords: expected {width} entries, got {len(coords)}")
+            points.append(tuple(parse_fraction(c, f"{where}.coords[{j}]")
+                                for j, c in enumerate(coords)))
+        return cls(k, outcomes, tuple(points), eliminated=eliminated)
 
 
 def _vertex_set_from_points(polytope: Polytope, pts):
     meta = polytope.meta or {}
-    points = tuple(sorted((tuple(x), polytope.active_labels(x)) for x in pts))
+    points = tuple(sorted(map(tuple, pts)))
     return VertexSet(meta.get("kind"), meta.get("outcomes"), points,
                      eliminated=bool(meta.get("eliminated")))
 
@@ -459,16 +472,14 @@ def _fitting_classes(k: SymmetryKind, n_outcomes: int):
 
 def catalog_extrema(k: SymmetryKind, n_outcomes: int) -> VertexSet:
     """The extremal n-outcome POVMs: every placement of a class of the table
-    into distinct outcomes, sorted, with the active constraints of each."""
+    into distinct outcomes, sorted."""
     zero = (Fraction(0),) * k.n_coeffs
     pts = set()
     for parts in _fitting_classes(k, n_outcomes):
         for slots in itertools.permutations(range(n_outcomes), len(parts)):
             placed = dict(zip(slots, parts))
             pts.add(tuple(c for s in range(n_outcomes) for c in placed.get(s, zero)))
-    poly = build_feasible_polytope(k, n_outcomes, eliminate=False)
-    points = tuple((x, poly.active_labels(x)) for x in sorted(pts))
-    return VertexSet(k, n_outcomes, points, eliminated=False)
+    return VertexSet(k, n_outcomes, tuple(sorted(pts)), eliminated=False)
 
 
 def catalog_classes(k: SymmetryKind, n_outcomes: int) -> list:

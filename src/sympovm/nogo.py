@@ -79,10 +79,11 @@ def verify_L_requirements(L, pt_matrix) -> LRequirementsReport:
     """
     L = [[Fraction(x) for x in row] for row in L]
     RL = mat_mul([list(r) for r in pt_matrix], L)
+    det_L = det(L)
     checks = (
         _entrywise_nonneg(L, "L-nonnegative"),
         _rows_sum_one(L, "L-rows-sum-1"),
-        RequirementCheck("L-invertible", det(L) != 0, (det(L),)),
+        RequirementCheck("L-invertible", det_L != 0, (det_L,)),
         _entrywise_nonneg(RL, "RL-nonnegative"),
         _rows_sum_one(RL, "RL-rows-sum-1"),
     )
@@ -164,23 +165,25 @@ def _unit_row_cases(pt_matrix, n):
     """Route (ii): exact LP feasibility for every unit-row placement."""
     R = [list(r) for r in pt_matrix]
     zero, one = Fraction(0), Fraction(1)
+    # variable order: L[i][j] at index i*n + j, all >= 0; the RL >= 0 rows and
+    # the L row sums are the same for every placement
+    ineqs = []
+    for i in range(n):
+        for j in range(n):
+            row = [zero] * (n * n)
+            for k in range(n):
+                row[k * n + j] = R[i][k]
+            ineqs.append((tuple(row), zero, ("RL", i, j)))
+    row_sums = []
+    for i in range(n):
+        row = [zero] * (n * n)
+        for j in range(n):
+            row[i * n + j] = one
+        row_sums.append((tuple(row), one, ("L-row-sum", i, None)))
     cases = []
     slots = [("L", r) for r in range(n)] + [("RL", r) for r in range(n)]
     for placement in itertools.product(slots, repeat=n):
-        # variable order: L[i][j] at index i*n + j, all >= 0
-        ineqs = []
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    row[k * n + j] = R[i][k]
-                ineqs.append((tuple(row), zero, ("RL", i, j)))
-        eqs = []
-        for i in range(n):
-            row = [zero] * (n * n)
-            for j in range(n):
-                row[i * n + j] = one
-            eqs.append((tuple(row), one, ("L-row-sum", i, None)))
+        eqs = list(row_sums)
         for unit, (which, r) in enumerate(placement):
             for j in range(n):
                 target = one if j == unit else zero

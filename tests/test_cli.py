@@ -248,6 +248,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith(f"error: {path}: ") and message in err, err
+    # --eps must be finite and >= 0; inf would accept any target, here (3, -5)
+    proto = tmp_path / "float-proto.json"
+    proto.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [[{
+        "w": "1", "a": float_factor([[1, 0], [0, 1]]), "b": float_factor([[1, 0], [0, 1]])}]]}))
+    far = tmp_path / "far-target.json"
+    far.write_text(json.dumps({"family": "isotropic", "dim": 2, "elements": [["3", "-5"]]}))
+    for eps in ("-1", "nan", "inf"):
+        code, out, err = run(capsys, "protocol-verify", "--protocol", str(proto),
+                             "--target", str(far), "--eps", eps)
+        assert (code, out) == (2, ""), eps
+        assert err.startswith("error: --eps: "), err
 
 
 def test_protocol_synth_ppt_violating_target_exits_1(tmp_path, capsys):
@@ -364,6 +375,11 @@ DIGESTS = [
      "93f02b19e4bf5faeee0a2976feb8e9ae861a95a953ca5f9addaed705d44010c6"),
     ("vertices --family bell --dim 2 --outcomes 3 --method brute", 0,
      "f3bf574561ceec4ed92f44769927a2204f2b0ed3795fc2614595a2dd9a1d784a"),
+    # eliminated two-outcome polytopes: the labels name both outcomes' rows
+    ("vertices --family oo --dim 3 --outcomes 2", 0,
+     "612f98a19dc8193f0b8d0386b9bea05f31aa29b8c4c726ea83896bf02c34c6b4"),
+    ("vertices --family bell --dim 2 --outcomes 2 --method brute", 0,
+     "bebabdd4f4f798a9620b126adc5367dca62ab8488d9ad0ae9ce1dabd6f04c425"),
     ("vertices --family isotropic --dim 3 --outcomes 3 --format csv", 0,
      "2d334f94e7af0b5add9199e3f91139e0df7e94263073d701f4763a20964ba609"),
     ("check --povm bell3.json", 0,

@@ -49,6 +49,8 @@ def test_unit_cube_vertices():
     vs = enumerate_vertices(cube(3))
     assert vs.coords_set() == frozenset(itertools.product((ZERO, ONE), repeat=3))
     assert brute_force_vertices(cube(3)).coords_set() == vs.coords_set()
+    # without a family there is no polytope to derive the labels from
+    assert all(v["active"] is None for v in vs.to_json()["vertices"])
 
 
 def test_vertex_active_sets_have_full_rank():
@@ -59,7 +61,8 @@ def test_vertex_active_sets_have_full_rank():
     for poly in (cube(3), build_feasible_polytope(kind("oo", 3), 2),
                  build_feasible_polytope(kind("bell", 2), 3)):
         labelled = {label: row for row, _, label in poly.inequalities}
-        for coords, active in enumerate_vertices(poly).points:
+        for coords in enumerate_vertices(poly).points:
+            active = poly.active_labels(coords)
             rows = [list(r) for r, _, _ in poly.equalities]
             rows += [list(labelled[l]) for l in active if l in labelled]
             assert rank(rows) == poly.ambient_dim
@@ -297,6 +300,12 @@ def test_vertex_set_json_round_trip():
     (lambda b: b.pop("vertices"), "missing field 'vertices'"),
     (lambda b: b["vertices"][0].update(coords="1/2"), "vertices[0].coords: expected a list"),
     (lambda b: b.update(dim="three"), "dim: expected an integer"),
+    (lambda b: b.update(eliminated="false"), "eliminated: expected true or false, got 'false'"),
+    (lambda b: b.pop("outcomes"), "missing field 'outcomes'"),
+    (lambda b: b.update(outcomes=None), "outcomes: expected an integer, got None"),
+    (lambda b: b.update(outcomes=3), "eliminated: true needs outcomes 2, got 3"),
+    (lambda b: b.update(outcomes=0), "outcomes: expected a positive integer, got 0"),
+    (lambda b: b["vertices"][1]["coords"].pop(), "vertices[1].coords: expected 3 entries, got 2"),
 ])
 def test_vertex_set_reader_names_the_bad_field(edit, message):
     import json
@@ -309,6 +318,21 @@ def test_vertex_set_reader_names_the_bad_field(edit, message):
     with pytest.raises(ValueError) as err:
         VertexSet.from_json(blob)
     assert message in str(err.value)
+
+
+def test_catalog_extrema_evaluates_no_constraint(monkeypatch):
+    # the active labels are output-only: a catalog holds coordinates, and
+    # only VertexSet.to_json derives the labels
+    def refuse(self, x):
+        raise AssertionError("active labels evaluated")
+
+    monkeypatch.setattr(Polytope, "active_labels", refuse)
+    for fam, d in (("isotropic", 3), ("werner", 3), ("bell", 2), ("oo", 3)):
+        for n in (1, 2, 3, 4):
+            catalog = catalog_extrema(kind(fam, d), n)
+            assert catalog.canonical_classes(), (fam, n)
+    with pytest.raises(AssertionError, match="active labels evaluated"):
+        catalog.to_json()
 
 
 def test_lemma_checks_pass_on_real_catalogs():
@@ -324,10 +348,9 @@ def test_lemma_checks_fail_on_dependent_columns():
                     CoeffVector(k, (0, half, half, 0)),
                     CoeffVector(k, (0, 0, half, half)),
                     CoeffVector(k, (half, 0, 0, half))))
-    poly = build_feasible_polytope(k, 4, eliminate=False)
     from sympovm.extremal import VertexSet
 
-    fake = VertexSet(k, 4, ((p.coords(), poly.active_labels(p.coords())),))
+    fake = VertexSet(k, 4, (p.coords(),))
     report = check_lemma_properties(fake)
     failed = [c.name for c in report.failures()]
     assert "nonzero-elements-independent" in failed

@@ -208,7 +208,7 @@ def test_lp_optimum_equals_vertex_sweep():
              ("oo", 3, 3), ("bell", 2, 3)]
     for fam, d, n in plans:
         poly = build_feasible_polytope(kind(fam, d), n)
-        verts = [coords for coords, _ in enumerate_vertices(poly).points]
+        verts = enumerate_vertices(poly).points
         for _ in range(6):
             objective = tuple(Fraction(rng.randint(-5, 5), 3)
                               for _ in range(poly.ambient_dim))
