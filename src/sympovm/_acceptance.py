@@ -36,7 +36,14 @@ from .feasible import (
     povm_from_coords,
 )
 from .nogo import isotropic_sanity_search, naive_transform_search
-from .operators import CR0, BipartiteOperator, CRat, is_psd, partial_transpose
+from .operators import (
+    CR0,
+    BipartiteOperator,
+    CRat,
+    is_psd,
+    kraus_from_separable_form,
+    partial_transpose,
+)
 from .protocols import (
     build_pure_state_set,
     isotropic_protocol,
@@ -168,12 +175,16 @@ def criterion_3_bell_enumeration(seed=0):
 
 def _dense_route_agrees(proto, report):
     """The dense oracle of verify_protocol: twirl each built outcome operator,
-    and sum them to test completeness."""
+    rebuild it from one Kraus pair per term, and sum the outcomes to test
+    completeness."""
     d = proto.kind.dim
     total = BipartiteOperator.zeros(d)
-    for i in range(len(proto.outcomes)):
+    for i, terms in enumerate(proto.outcomes):
         op = proto.outcome_operator(i)
         if twirl_coefficients(op, proto.kind) != proto.outcome_coefficients(i):
+            return False
+        pairs = kraus_from_separable_form((t.weight, t.a_factor, t.b_factor) for t in terms)
+        if sum((p.element() for p in pairs), BipartiteOperator.zeros(d)) != op:
             return False
         total = total + op
     return (total == BipartiteOperator.identity(d)) == report.complete

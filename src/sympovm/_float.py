@@ -1,18 +1,17 @@
-"""Float mode: protocols with plain-number entries, and float Kraus roots.
+"""Float mode: protocols with plain-number entries.
 
 The only module of sympovm that imports numpy at the top, imported only
-for a protocol with a float factor and for a Kraus factor that needs a
-spectral root.  Float verification evaluates the per-term invariants of
-the exact route in numpy and checks completeness one block row of
-sum_t w A (x) B at a time, so memory stays O(d^3); every comparison is
-within an absolute tolerance eps.
+for a protocol with a float factor.  Float verification evaluates the
+per-term invariants of the exact route in numpy and checks completeness
+one block row of sum_t w A (x) B at a time, so memory stays O(d^3); every
+comparison is within an absolute tolerance eps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import KrausPair, parse_fraction
+from .operators import parse_fraction
 from .protocols import _BELL_CONJUGATIONS, _projector_traces, _verification
 from .symmetry import basis_traces
 
@@ -87,16 +86,3 @@ def verify_protocol(protocol, target, eps):
                          lambda k: outcome_coefficients(protocol.outcomes[k], protocol.kind),
                          resolves_identity(protocol.outcomes, protocol.kind.dim, eps), eps)
 
-
-def float_pairs(w, a, b, eps):
-    """One Kraus pair (sqrt(w a), sqrt(b)) from spectral square roots."""
-    w = float(w)
-    if w < 0:
-        raise ValueError("negative weight in separable form")
-    roots = []
-    for m in (w * np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)):
-        vals, vecs = np.linalg.eigh(m)
-        if np.min(vals) < -eps:
-            raise ValueError("factor is not PSD within tolerance")
-        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
-    return [KrausPair(*roots)]

@@ -525,8 +525,7 @@ def decompose_into_basic(v: CoeffVector) -> tuple:
     eqs = [(tuple(b.coeffs[i] for b in basics), v.coeffs[i], ("coord", None, i))
            for i in range(n)]
     poly = Polytope(len(basics), (), tuple(eqs))
-    res = lp_solve(LinearProgram(poly, (Fraction(0),) * len(basics),
-                                 sense="min", nonneg=True))
+    res = lp_solve(LinearProgram(poly, (Fraction(0),) * len(basics), sense="min"))
     if res.status != "optimal":
         raise AssertionError("feasible element failed to decompose over basic vectors")
     return res.point

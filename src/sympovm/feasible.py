@@ -8,9 +8,10 @@ rational polytope and every optimisation here is an exact LP.
 The simplex implementation is a two-phase tableau method over Fractions
 with Bland's rule (entering: lowest eligible index; leaving: lowest basis
 index among minimum ratios), which makes every run deterministic and
-cycling impossible.  Infeasible systems yield a Farkas certificate: a
-nonnegative combination of constraint rows adding up to an impossible
-inequality.  The cost row is the tableau's last row, and every pivot is
+cycling impossible.  Every variable is nonnegative.  Infeasible systems
+yield a Farkas certificate: a combination of constraint rows, nonnegative
+on the inequalities, adding up to an inequality that no x >= 0 satisfies.
+The cost row is the tableau's last row, and every pivot is
 ``_exactlin.pivot``, the one exact elimination kernel.
 """
 
@@ -213,10 +214,15 @@ class UnboundedLpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """Optimise objective . x over the polytope intersected with {x >= 0}.
+
+    Every LP of the package has nonnegative variables (POVM coefficients,
+    convex weights, transform entries), so none is split into free parts.
+    """
+
     polytope: Polytope
     objective: tuple
     sense: str = "max"
-    nonneg: bool = False  # variables known nonnegative: skip the free split
 
     def __post_init__(self):
         if len(self.objective) != self.polytope.ambient_dim:
@@ -270,8 +276,6 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     """Exact two-phase simplex.  Deterministic; returns a vertex optimum."""
     poly = lp.polytope
     n = poly.ambient_dim
-    split = not lp.nonneg
-    nx = 2 * n if split else n
     rows = []
     labels = []
     # equalities first, then inequalities with slack columns
@@ -283,19 +287,14 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         labels.append(label)
     m = len(rows)
     nslack = len(poly.inequalities)
-    ncols = nx + nslack
+    ncols = n + nslack
     T = []
     signs = []
     for row, rhs, si in rows:
         full = [Fraction(0)] * (ncols + m + 1)
-        for j, v in enumerate(row):
-            if split:
-                full[2 * j] = v
-                full[2 * j + 1] = -v
-            else:
-                full[j] = v
+        full[:n] = row
         if si is not None:
-            full[nx + si] = Fraction(-1)
+            full[n + si] = Fraction(-1)
         full[-1] = rhs
         if rhs < 0:
             full = [-v for v in full[:-1]] + [-rhs]
@@ -339,14 +338,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     obj = [frac(c) for c in lp.objective]
     if lp.sense == "max":
         obj = [-c for c in obj]
-    cost = [Fraction(0)] * (ncols + m + 1)
-    for j, v in enumerate(obj):
-        if split:
-            cost[2 * j] = v
-            cost[2 * j + 1] = -v
-        else:
-            cost[j] = v
-    T[-1] = cost
+    T[-1] = obj + [Fraction(0)] * (nslack + m + 1)
     for i, bj in enumerate(basis):
         pivot(T, i, bj)
     _bland_iterate(T, basis, ncols)
@@ -355,10 +347,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     for i, bj in enumerate(basis):
         if bj < ncols:
             z[bj] = T[i][-1]
-    if split:
-        x = tuple(z[2 * j] - z[2 * j + 1] for j in range(n))
-    else:
-        x = tuple(z[j] for j in range(n))
+    x = tuple(z[:n])
     value = sum(c * v for c, v in zip(lp.objective, x))
     return LpResult("optimal", value=value, point=x,
                     active_labels=poly.active_labels(x))
@@ -394,7 +383,7 @@ def convex_decompose(p: SymPovm, catalog) -> DecompositionResult:
         eqs.append((tuple(col[i] for col in cols), t, ("coord", None, i)))
     eqs.append(((Fraction(1),) * dim, Fraction(1), ("weight-sum", None, None)))
     poly = Polytope(dim, (), tuple(eqs))
-    res = lp_solve(LinearProgram(poly, (Fraction(0),) * dim, sense="min", nonneg=True))
+    res = lp_solve(LinearProgram(poly, (Fraction(0),) * dim, sense="min"))
     if res.status == "infeasible":
         return DecompositionResult(False, certificate=res.certificate)
     weights = tuple((povms[j], w) for j, w in enumerate(res.point) if w)

@@ -195,8 +195,7 @@ def _unit_row_cases(pt_matrix, n):
                         row[k * n + j] = R[r][k]
                 eqs.append((tuple(row), target, ("unit", which, (r, unit, j))))
         poly = Polytope(n * n, tuple(ineqs), tuple(eqs))
-        res = lp_solve(LinearProgram(poly, (zero,) * (n * n), sense="min",
-                                     nonneg=True))
+        res = lp_solve(LinearProgram(poly, (zero,) * (n * n), sense="min"))
         label = tuple(f"e{u + 1}@{w}[{r}]" for u, (w, r) in enumerate(placement))
         if res.status == "infeasible":
             cases.append(NoGoCase("unit-rows", label, False,

@@ -4,8 +4,8 @@ Scalars are Gaussian rationals: complex numbers with Fraction real and
 imaginary parts, closed under +, -, *, / with no rounding.  Matrices are
 tuples of tuples of such scalars, and every operator here is exact: a
 plain number read from a file is taken at its exact binary value.  The
-float mode of protocol files and the float Kraus roots live in
-`sympovm._float`, which alone imports numpy.
+float mode of protocol files lives in `sympovm._float`, which alone
+imports numpy; Kraus extraction is exact and never needs it.
 
 Conventions, fixed once for all file formats:
   * composite basis |i>|j> sits at row-major index i*d + j (Alice major);
@@ -89,6 +89,8 @@ class CRat:
 def cr(x) -> CRat:
     if isinstance(x, CRat):
         return x
+    if isinstance(x, complex):
+        return CRat(x.real, x.imag)
     return CRat(x)
 
 
@@ -100,7 +102,8 @@ CR1 = CRat(1)
 # grid helpers (tuples of tuples of CRat)
 
 def mat(rows):
-    """Coerce nested int/Fraction/CRat data to an immutable scalar grid."""
+    """Coerce nested numbers to an immutable scalar grid; a float or complex
+    entry reads as its exact binary value."""
     return tuple(tuple(cr(x) for x in row) for row in rows)
 
 
@@ -186,17 +189,9 @@ def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), CR0) for row in a)
 
 
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def mat_is_hermitian(a) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i].conjugate() for i in range(n) for j in range(i, n))
-
-
-def mat_is_diagonal(a) -> bool:
-    return all(not a[i][j] for i in range(len(a)) for j in range(len(a)) if i != j)
 
 
 def mat_is_exact(a) -> bool:
@@ -204,31 +199,43 @@ def mat_is_exact(a) -> bool:
     return all(isinstance(x, (int, Fraction, CRat)) for row in a for x in row)
 
 
-def psd_exact(a) -> bool:
-    """PSD decision for an exact Hermitian grid via rational LDL* pivoting.
+def ldl_exact(a):
+    """Rational LDL* of an exact Hermitian grid, or None when it is not PSD.
 
-    A Hermitian matrix with a zero diagonal entry is PSD only if the whole
-    corresponding row vanishes, so no radicals are ever required.
+    The pieces (d, l) satisfy a = sum d l l†, with each d a positive
+    Fraction and each l a tuple of Gaussian rationals that is 1 at its
+    pivot.  A Hermitian matrix with a zero diagonal entry is PSD only if the
+    whole corresponding row vanishes, so no radicals are ever required.
     """
     m = [list(row) for row in a]
     active = list(range(len(m)))
+    pieces = []
     while active:
         if any(m[i][i].re < 0 for i in active):
-            return False
+            return None
         piv = next((i for i in active if m[i][i].re > 0), None)
         if piv is None:
-            return all(not m[i][j] for i in active for j in active)
+            return pieces if all(not m[i][j] for i in active for j in active) else None
         active.remove(piv)
         d = m[piv][piv]
+        col = [CR0] * len(m)
+        col[piv] = CR1
+        prow = m[piv]
         for i in active:
             f = m[i][piv] / d
             if not f:
                 continue
-            prow = m[piv]
+            col[i] = f
             irow = m[i]
             for j in active:
                 irow[j] = irow[j] - f * prow[j]
-    return True
+        pieces.append((d.re, tuple(col)))
+    return pieces
+
+
+def psd_exact(a) -> bool:
+    """PSD decision for an exact Hermitian grid (see ldl_exact)."""
+    return ldl_exact(a) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +293,6 @@ class BipartiteOperator:
     def is_hermitian(self) -> bool:
         return mat_is_hermitian(self.entries)
 
-    def to_numpy(self):
-        import numpy as np
-
-        return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
-
     def to_json(self) -> dict:
         return {"dim": self.dim,
                 "entries": [[[str(x.re), str(x.im)] for x in row]
@@ -325,10 +327,16 @@ def json_list(x, where):
 
 
 def parse_int(x, where) -> int:
-    try:
+    """An integer from an int, an integral float or a decimal string; a bool
+    or a number with a fractional part is a ValueError that names where."""
+    if isinstance(x, float) and x.is_integer():
         return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected an integer, got {x!r}") from None
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: expected an integer, got {x!r}")
 
 
 def parse_fraction(x, where) -> Fraction:
@@ -423,41 +431,37 @@ def swap_operator(d: int) -> BipartiteOperator:
 
 @dataclass(frozen=True)
 class ScaledFactor:
-    """Local factor sqrt(radicand) * mat with rational radicand >= 0.
+    """Local factor diag(sqrt(radicands)) * mat, one rational radicand >= 0
+    per row of mat.
 
-    Keeping a single scalar radical outside a rational matrix lets
-    A†A = radicand * (mat† mat) be evaluated without rounding even when
-    sqrt(radicand) itself is irrational.
+    Keeping each row's radical outside a Gaussian-rational matrix lets
+    A†A = mat† diag(radicands) mat be evaluated without rounding even when
+    a square root itself is irrational.
     """
 
-    radicand: Fraction
+    radicands: tuple
     mat: tuple
 
     def gram(self):
         """A†A as an exact grid."""
-        return mat_scale(CRat(self.radicand), mat_mul(mat_dagger(self.mat), self.mat))
+        scaled = tuple(tuple(CRat(r) * x for x in row)
+                       for r, row in zip(self.radicands, self.mat))
+        return mat_mul(mat_dagger(self.mat), scaled)
 
 
 @dataclass(frozen=True)
 class KrausPair:
-    """One product Kraus term (A, B); contributes A†A (x) B†B."""
+    """One product Kraus term (A, B) of ScaledFactors; contributes A†A (x) B†B."""
 
-    a_op: object  # ScaledFactor, or a numpy array from a float spectral root
-    b_op: object
+    a_op: ScaledFactor
+    b_op: ScaledFactor
 
     def element(self) -> BipartiteOperator:
-        """A†A (x) B†B; for float roots, the exact values of the float
-        entries of A†A and B†B."""
-        if isinstance(self.a_op, ScaledFactor):
-            return tensor(self.a_op.gram(), self.b_op.gram())
-        return tensor(*([[CRat(z.real, z.imag) for z in row] for row in g.conj().T @ g]
-                        for g in (self.a_op, self.b_op)))
+        return tensor(self.a_op.gram(), self.b_op.gram())
 
 
 def _sqrt_fraction(x: Fraction):
-    """Exact rational square root, or None."""
-    if x < 0:
-        return None
+    """Exact square root of a rational x >= 0, or None."""
     n, d = x.numerator, x.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
@@ -465,125 +469,37 @@ def _sqrt_fraction(x: Fraction):
     return None
 
 
-def _real_fraction(x: CRat):
-    if x.im:
-        return None
-    return x.re
+def _ldl_root(w, a, who) -> ScaledFactor:
+    """A with A†A = w a: row k is sqrt(w d_k) l_k† for the ldl_exact pieces
+    of a, a rational root folded into its row, and zero rows pad A to
+    len(a) rows."""
+    a = mat(a)
+    pieces = ldl_exact(a) if mat_is_hermitian(a) else None
+    if pieces is None:
+        raise ValueError(f"{who} factor is not PSD")
+    radicands, rows = [], []
+    for d, l in pieces:
+        s = _sqrt_fraction(w * d)
+        radicands.append(w * d if s is None else Fraction(1))
+        root = CR1 if s is None else CRat(s)
+        rows.append(tuple(root * x.conjugate() for x in l))
+    pad = len(a) - len(pieces)
+    return ScaledFactor(tuple(radicands) + (Fraction(1),) * pad,
+                        tuple(rows) + ((CR0,) * len(a),) * pad)
 
 
-def _exact_sqrt_psd(m):
-    """Exact rational PSD square root when one exists without radicals."""
-    n = len(m)
-    if mat_is_diagonal(m):
-        roots = []
-        for i in range(n):
-            v = _real_fraction(m[i][i])
-            if v is None:
-                return None
-            r = _sqrt_fraction(v)
-            if r is None:
-                return None
-            roots.append(r)
-        return tuple(tuple(CRat(roots[i]) if i == j else CR0 for j in range(n))
-                     for i in range(n))
-    scaled = _scaled_projector(m)
-    if scaled is not None:
-        lam, proj = scaled
-        s = _sqrt_fraction(lam)
-        if s is not None:
-            return mat_scale(CRat(s), proj)
-    return None
+def kraus_from_separable_form(terms):
+    """One Kraus pair (A_k, B_k) per term, with A†A = w_k a_k and B†B = b_k,
+    so that sum_k A†A (x) B†B = sum_k w_k (a_k (x) b_k) exactly.
 
-
-def _scaled_projector(m):
-    """Decompose m = lam * P with P a Hermitian projector, or None."""
-    tr = _real_fraction(mat_trace(m))
-    if tr is None or tr <= 0:
-        return None
-    tr2 = _real_fraction(mat_trace(mat_mul(m, m)))
-    lam = tr2 / tr
-    if lam <= 0:
-        return None
-    proj = mat_scale(CRat(Fraction(1) / lam), m)
-    if mat_mul(proj, proj) == proj:
-        return lam, proj
-    return None
-
-
-def _projector_pieces(m):
-    """Conic decomposition of a PSD grid into rational-weighted projectors."""
-    n = len(m)
-    if mat_is_zero(m):
-        return []
-    if mat_is_diagonal(m):
-        values = {}
-        for i in range(n):
-            v = _real_fraction(m[i][i])
-            if v is None or v < 0:
-                return None
-            if v:
-                values.setdefault(v, []).append(i)
-        pieces = []
-        for v, idxs in sorted(values.items()):
-            proj = tuple(tuple(CR1 if (i == j and i in idxs) else CR0
-                               for j in range(n)) for i in range(n))
-            pieces.append((v, proj))
-        return pieces
-    scaled = _scaled_projector(m)
-    if scaled is not None:
-        return [scaled]
-    return None
-
-
-def kraus_from_separable_form(terms, eps=1e-9):
-    """Kraus pairs (A_n, B_n) with sum_n A†A (x) B†B = sum_k w_k (a_k (x) b_k).
-
-    Each term is (weight >= 0, a_psd, b_psd) with d x d PSD factors, given
-    as exact grids or as float arrays.  Diagonal, projector-multiple and
-    rank-one factors are factored exactly (any leftover scalar is carried
-    as a radicand); anything else, and any float factor, takes a float
-    spectral root (`sympovm._float`, which needs numpy).
+    Each term is (weight >= 0, a, b) with Hermitian PSD factors; a plain
+    number reads as its exact binary value.  Both factors are rooted through
+    their ldl_exact pieces, so no numpy and no tolerance is involved.
     """
     pairs = []
     for w, a, b in terms:
-        if not (mat_is_exact(a) and mat_is_exact(b)):
-            from . import _float
-
-            pairs.extend(_float.float_pairs(w, a, b, eps))
-            continue
-        a, b = mat(a), mat(b)
-        w = _real_fraction(cr(w))
-        if w is None:
-            raise ValueError("weights must be real")
-        if w < 0:
-            raise ValueError("negative weight in separable form")
-        if not (mat_is_hermitian(a) and psd_exact(a)):
-            raise ValueError("Alice factor is not PSD")
-        if not (mat_is_hermitian(b) and psd_exact(b)):
-            raise ValueError("Bob factor is not PSD")
-        if not w or mat_is_zero(a) or mat_is_zero(b):
-            continue
-        sw = _sqrt_fraction(w)
-        sa = _exact_sqrt_psd(a)
-        sb = _exact_sqrt_psd(b)
-        if sw is not None and sa is not None and sb is not None:
-            pairs.append(KrausPair(ScaledFactor(Fraction(1), mat_scale(CRat(sw), sa)),
-                                   ScaledFactor(Fraction(1), sb)))
-            continue
-        pa = _projector_pieces(a)
-        pb = _projector_pieces(b)
-        if pa is not None and pb is not None:
-            for alpha, proj_a in pa:
-                for beta, proj_b in pb:
-                    radicand = w * alpha * beta
-                    s = _sqrt_fraction(radicand)
-                    if s is not None:
-                        a_factor = ScaledFactor(Fraction(1), mat_scale(CRat(s), proj_a))
-                    else:
-                        a_factor = ScaledFactor(radicand, proj_a)
-                    pairs.append(KrausPair(a_factor, ScaledFactor(Fraction(1), proj_b)))
-            continue
-        from . import _float
-
-        pairs.extend(_float.float_pairs(w, a, b, eps))
+        w = cr(w)
+        if w.im or w.re < 0:
+            raise ValueError("weights must be real and nonnegative")
+        pairs.append(KrausPair(_ldl_root(w.re, a, "Alice"), _ldl_root(Fraction(1), b, "Bob")))
     return pairs

@@ -218,6 +218,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     huge_float.write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [[{
         "w": "1", "a": float_factor([[1, 0], [0, 1]]),
         "b": {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]}))
+    dims = {}
+    for name, value in (("fractional", 3.9), ("bool", True)):
+        dims[name] = tmp_path / f"dim-{name}.json"
+        dims[name].write_text(json.dumps({"family": "isotropic", "dim": value,
+                                          "elements": [["1", "1"]]}))
     not_finite = {}
     for name, value in (("nan", float("nan")), ("inf", float("inf")), ("nan-str", "nan")):
         not_finite[name] = tmp_path / f"{name}.json"
@@ -234,6 +239,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (("discriminate", "--states", listed), listed,
          "expected a JSON object with fields family, dim, states"),
         (("check", "--povm", elements5), elements5, "elements: expected a list"),
+        (("check", "--povm", dims["fractional"]), dims["fractional"],
+         "dim: expected an integer, got 3.9"),
+        (("check", "--povm", dims["bool"]), dims["bool"], "dim: expected an integer, got True"),
         (("protocol-verify", "--protocol", huge_float, "--target", target), huge_float,
          "outcomes[0][0].b.entries[0][0]: int too large to convert to float"),
         (("protocol-verify", "--protocol", not_finite["nan"], "--target", target),
@@ -521,13 +529,18 @@ for argv in (["check", "--povm", povm], ["decompose", "--povm", povm],
              ["protocol-verify", "--protocol", protocol, "--target", target]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert sympovm.cli.main(argv) == 0, argv
+from fractions import Fraction
+from sympovm.operators import kraus_from_separable_form, mat, mat_eye, tensor
+a, third = mat([[2, 1], [1, 2]]), Fraction(1, 3)
+pairs = kraus_from_separable_form([(third, a, mat_eye(2))])
+assert len(pairs) == 1 and pairs[0].element() == tensor(a, mat_eye(2)).scale(third)
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
 def test_exact_commands_never_import_numpy(tmp_path):
-    # numpy is needed only for float protocol files, float Kraus roots and
-    # the brute-force vertex oracle
+    # numpy is needed only for float protocol files and the brute-force
+    # vertex oracle; Kraus extraction is exact, with no spectral root
     from sympovm.protocols import isotropic_protocol
 
     k = kind("isotropic", 2)

@@ -303,6 +303,8 @@ def test_vertex_set_json_round_trip():
     (lambda b: b.update(eliminated="false"), "eliminated: expected true or false, got 'false'"),
     (lambda b: b.pop("outcomes"), "missing field 'outcomes'"),
     (lambda b: b.update(outcomes=None), "outcomes: expected an integer, got None"),
+    (lambda b: b.update(outcomes=2.5), "outcomes: expected an integer, got 2.5"),
+    (lambda b: b.update(outcomes=True), "outcomes: expected an integer, got True"),
     (lambda b: b.update(outcomes=3), "eliminated: true needs outcomes 2, got 3"),
     (lambda b: b.update(outcomes=0), "outcomes: expected a positive integer, got 0"),
     (lambda b: b["vertices"][1]["coords"].pop(), "vertices[1].coords: expected 3 entries, got 2"),

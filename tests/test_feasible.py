@@ -218,6 +218,57 @@ def test_lp_optimum_equals_vertex_sweep():
             assert res.value == best
 
 
+def split_route(poly, objective):
+    """The free-variable route: x = x+ - x-, each row r becoming (r, -r) in
+    interleaved columns, solved over x+, x- >= 0."""
+    def split(row):
+        return tuple(v for c in row for v in (c, -c))
+
+    def rows(items):
+        return tuple((split(row), rhs, label) for row, rhs, label in items)
+
+    return Polytope(2 * poly.ambient_dim, rows(poly.inequalities),
+                    rows(poly.equalities)), split(objective)
+
+
+def test_lp_over_nonneg_x_equals_free_split_route():
+    # every package LP has x >= 0 implied by its rows; Bland's rule on the
+    # split tableau must still reach the same vertex.  An infeasible LP may
+    # get a shorter certificate, since x >= 0 needs no row of its own
+    rng = random.Random(71)
+    plans = [("isotropic", 2, 2, None), ("werner", 3, 3, None), ("oo", 3, 2, False),
+             ("oo", 3, 3, None), ("bell", 2, 2, False), ("bell", 2, 4, None)]
+    for fam, d, n, eliminate in plans:
+        poly = build_feasible_polytope(kind(fam, d), n, eliminate=eliminate)
+        dim = poly.ambient_dim
+        # the Bayes objective of repeated states is degenerate
+        state = [Fraction(rng.randint(0, 3)) for _ in range(kind(fam, d).n_coeffs)]
+        objectives = [tuple(state * (dim // len(state)))]
+        objectives += [tuple(Fraction(rng.randint(-2, 2), 3) for _ in range(dim))
+                       for _ in range(3)]
+        cut = ((ONE,) + (ZERO,) * (dim - 1), -ONE, ("cut", None, 0))
+        infeasible = Polytope(dim, poly.inequalities, poly.equalities + (cut,))
+        for target, objective in [(poly, c) for c in objectives] + [(infeasible, objectives[0])]:
+            for sense in ("max", "min"):
+                res = lp_solve(LinearProgram(target, objective, sense=sense))
+                ref = lp_solve(LinearProgram(*split_route(target, objective), sense=sense))
+                assert res.status == ref.status
+                if ref.status == "infeasible":
+                    # valid over x >= 0: combined row <= 0, combined rhs > 0
+                    rows = {label: (row, rhs) for row, rhs, label in
+                            target.inequalities + target.equalities}
+                    ineqs = {label for _, _, label in target.inequalities}
+                    combo = [sum(c * rows[l][0][j] for l, c in res.certificate)
+                             for j in range(dim)]
+                    assert all(v <= 0 for v in combo)
+                    assert all(c >= 0 for l, c in res.certificate if l in ineqs)
+                    assert sum(c * rows[l][1] for l, c in res.certificate) > 0
+                    continue
+                z = ref.point
+                assert res.value == ref.value
+                assert res.point == tuple(z[2 * j] - z[2 * j + 1] for j in range(dim))
+
+
 def test_polytope_and_lp_result_json():
     import json
 

@@ -19,6 +19,7 @@ from sympovm.operators import (
     mat_mul,
     mat_trace,
     mat_vec,
+    mat_zeros,
     maximally_entangled_projector,
     partial_transpose,
     swap_operator,
@@ -178,7 +179,7 @@ def test_kraus_diagonal_square_root():
     a = mat([[4, 0], [0, 1]])
     pairs = kraus_from_separable_form([(1, a, mat_eye(2))])
     assert len(pairs) == 1
-    assert pairs[0].a_op.radicand == 1
+    assert pairs[0].a_op.radicands == (1, 1)
     assert pairs[0].a_op.mat == mat([[2, 0], [0, 1]])
 
 
@@ -207,12 +208,53 @@ def test_kraus_rejects_non_psd():
         kraus_from_separable_form([(1, bad, mat_eye(2))])
 
 
-def test_kraus_float_fallback():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    b = np.eye(2)
+def random_psd_factor(rng, n, rank, den=4):
+    """A sum of rank Gaussian-rational rank-one terms v v†."""
+    grid = mat_zeros(n)
+    for _ in range(rank):
+        v = [CRat(Fraction(rng.randint(-3, 3), den), Fraction(rng.randint(-3, 3), den))
+             for _ in range(n)]
+        grid = tuple(tuple(g + x * y.conjugate() for g, y in zip(row, v))
+                     for row, x in zip(grid, v))
+    return grid
+
+
+def test_kraus_one_exact_pair_per_term():
+    # complex, rank-deficient and zero factors and zero weights all root
+    # exactly through the LDL* pieces, one pair per term
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        terms = [(rng.choice([0, Fraction(rng.randint(1, 9), rng.randint(1, 9))]),
+                  random_psd_factor(rng, n, rng.randint(0, n)),
+                  random_psd_factor(rng, n, rng.randint(0, n)))
+                 for _ in range(rng.randint(1, 3))]
+        pairs = kraus_from_separable_form(terms)
+        assert len(pairs) == len(terms)
+        for p, (w, a, b) in zip(pairs, terms):
+            assert len(p.a_op.mat) == len(p.b_op.mat) == n
+            assert p.element() == tensor(a, b).scale(w)
+
+
+@pytest.mark.parametrize("w,a,b", [
+    (1, mat([[1, 1], [0, 1]]), mat_eye(2)),                     # non-Hermitian
+    (1, mat_eye(2), mat([[0, 1], [1, 0]])),                     # not PSD, zero diagonal
+    (1, mat([[1, 2], [2, 1]]), mat_eye(2)),                     # not PSD
+    (Fraction(-1, 2), mat_eye(2), mat_eye(2)),                  # negative weight
+    (CRat(0, 1), mat_eye(2), mat_eye(2)),                       # non-real weight
+    (1j, mat_eye(2), mat_eye(2)),                               # a Python complex
+])
+def test_kraus_rejects_bad_terms(w, a, b):
+    with pytest.raises(ValueError):
+        kraus_from_separable_form([(w, a, b)])
+
+
+def test_kraus_float_entries_are_exact():
+    # a float entry reads as its exact binary value, so the roots are exact too
+    a = np.array([[2.0, 0.1], [0.1, 2.0]])
+    b = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
     pairs = kraus_from_separable_form([(1.0, a, b)])
-    got = pairs[0].element().to_numpy()
-    assert np.max(np.abs(got - np.kron(a, b))) < 1e-9
+    assert reconstruct(pairs, 2) == tensor(a, b)
 
 
 def test_matrix_json_round_trip():
