@@ -1,14 +1,20 @@
-"""Exact linear algebra over Fraction matrices (real coefficient space).
+"""Exact linear algebra over rational matrices (real coefficient space).
 
 This is the one exact elimination kernel: ``rref``, ``det``, the simplex
 in ``feasible`` and the double description in ``extremal`` all eliminate
 through ``pivot``, and integer rays and rows are reduced by ``primitive``.
+
+``pivot`` is fraction-free: it keeps an integer matrix M = D*T, where T is
+the Gauss-Jordan tableau and D > 0 the last pivot, and every entry stays a
+minor of the scaled input, so no gcd is taken inside the elimination.
+Rational input is scaled to integers (``scaled_rows``: row by row here,
+by one common denominator in the simplex); results leave as ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def frac(x) -> Fraction:
@@ -19,18 +25,73 @@ def _copy(a):
     return [[frac(x) for x in row] for row in a]
 
 
-def pivot(rows, r, c):
-    """Gauss-Jordan step in place: scale row r to a unit entry in column c,
-    then clear column c from every other row."""
-    prow = rows[r]
-    pv = prow[c]
-    if pv != 1:
-        inv = 1 / pv
-        rows[r] = prow = [x * inv for x in prow]
-    for i, row in enumerate(rows):
-        if i != r and row[c]:
-            f = row[c]
-            rows[i] = [x - f * y for x, y in zip(row, prow)]
+def pivot(m, d, r, c) -> int:
+    """Fraction-free (integer) pivot in place on m = d*T, d > 0 the last pivot.
+
+    Every row i != r becomes (p*m[i] - m[i][c]*m[r]) // d, an exact
+    division, where p = m[r][c]; row r stays, and the new d is p.  When p < 0
+    all of m is negated so that d stays positive.  Returns the new d.
+    (Edmonds' integer pivoting: Bareiss, Math. Comp. 22, 1968; Avis, lrs.)
+    """
+    prow = m[r]
+    p = prow[c]
+    for i, row in enumerate(m):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        elif p != d:
+            m[i] = [p * x // d for x in row]
+    if p < 0:
+        for i, row in enumerate(m):
+            m[i] = [-x for x in row]
+        return -p
+    return p
+
+
+def scaled_rows(a, common=False):
+    """Integer rows of a rational matrix and their positive scale factors:
+    each row times the lcm of its denominators, or, with ``common``, every
+    row times the one lcm of all of them."""
+    a = _copy(a)
+    if common:
+        big = lcm(1, *(x.denominator for row in a for x in row))
+        scales = [big] * len(a)
+    else:
+        scales = [lcm(1, *(x.denominator for x in row)) for row in a]
+    return [[x.numerator * (s // x.denominator) for x in row]
+            for row, s in zip(a, scales)], scales
+
+
+def _eliminate(a, pivot_cols=None):
+    """Fraction-free Gauss-Jordan on the rows of ``a``, each scaled to
+    integers: (m, d, pivot columns, sign, row scales).  The RREF of ``a`` is
+    m/d on the pivot rows and m[i]/(d*scales[i]) on the rows after them; when
+    ``a`` is square and of full rank, sign*d/prod(scales) is its determinant."""
+    m, scales = scaled_rows(a)
+    d, sign = 1, 1
+    if not m:
+        return m, d, [], sign, scales
+    ncols = len(m[0]) if pivot_cols is None else pivot_cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            scales[r], scales[pr] = scales[pr], scales[r]
+            sign = -sign
+        if m[r][c] < 0:
+            sign = -sign
+        d = pivot(m, d, r, c)
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, d, pivots, sign, scales
 
 
 def rref(a, pivot_cols=None):
@@ -40,23 +101,11 @@ def rref(a, pivot_cols=None):
     lets an augmented system be reduced without pivoting on its rhs.  The
     pivot columns are the first columns independent of those before them.
     """
-    m = _copy(a)
-    if not m:
-        return m, []
-    ncols = len(m[0]) if pivot_cols is None else pivot_cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot(m, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, d, pivots, _, scales = _eliminate(a, pivot_cols)
+    # rows past the pivots keep their own scale factor
+    dens = [d] * len(pivots) + [d * s for s in scales[len(pivots):]]
+    return [[Fraction(x, den) if x else Fraction(0) for x in row]
+            for row, den in zip(m, dens)], pivots
 
 
 def rank(a) -> int:
@@ -109,21 +158,12 @@ def inverse(a):
 
 
 def det(a) -> Fraction:
-    """Exact determinant: the product of the Gauss-Jordan pivots, signed by
-    the row swaps."""
-    m = _copy(a)
-    n = len(m)
-    out = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            out = -out
-        out *= m[c][c]
-        pivot(m, c, c)
-    return out
+    """Exact determinant: the last fraction-free pivot, signed by the row
+    swaps and the negative pivots, over the product of the row scales."""
+    m, d, pivots, sign, scales = _eliminate(a)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * d, prod(scales))
 
 
 def primitive(ints) -> tuple:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _exactlin
 from .feasible import (
@@ -470,9 +471,10 @@ def _fitting_classes(k: SymmetryKind, n_outcomes: int):
     return [parts for parts in extremal_classes(k) if len(parts) <= n_outcomes]
 
 
+@lru_cache(maxsize=None)
 def catalog_extrema(k: SymmetryKind, n_outcomes: int) -> VertexSet:
     """The extremal n-outcome POVMs: every placement of a class of the table
-    into distinct outcomes, sorted."""
+    into distinct outcomes, sorted.  Cached: a VertexSet is immutable."""
     zero = (Fraction(0),) * k.n_coeffs
     pts = set()
     for parts in _fitting_classes(k, n_outcomes):

@@ -5,14 +5,21 @@ coefficients.  Feasibility is positivity plus PPT-ness of every element
 plus completeness, all of which are linear, so the feasible set is a
 rational polytope and every optimisation here is an exact LP.
 
-The simplex implementation is a two-phase tableau method over Fractions
-with Bland's rule (entering: lowest eligible index; leaving: lowest basis
-index among minimum ratios), which makes every run deterministic and
-cycling impossible.  Every variable is nonnegative.  Infeasible systems
-yield a Farkas certificate: a combination of constraint rows, nonnegative
-on the inequalities, adding up to an inequality that no x >= 0 satisfies.
-The cost row is the tableau's last row, and every pivot is
-``_exactlin.pivot``, the one exact elimination kernel.
+The simplex implementation is a two-phase tableau method with Bland's
+rule (entering: lowest eligible index; leaving: lowest basis index among
+minimum ratios), which makes every run deterministic and cycling
+impossible.  Every variable is nonnegative.  Infeasible systems yield a
+Farkas certificate: a combination of constraint rows, nonnegative on the
+inequalities, adding up to an inequality that no x >= 0 satisfies.
+
+The tableau is integer: M = D*T for the rational tableau T, D > 0 the last
+pivot, and every pivot is ``_exactlin.pivot``, the one exact elimination
+kernel.  All constraint rows are scaled by one common denominator and the
+artificial columns stay the identity, so the phase-1 cost row, hence every
+pivot, the vertex returned and the certificate, are those of T; a scale
+per row would change the phase-1 cost row.  Ratios are compared by
+cross-multiplication.  The cost row is the tableau's last row; the phase-2
+objective is scaled to integers by its own denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from ._exactlin import frac, pivot
+from ._exactlin import pivot, scaled_rows
 from .operators import json_list, json_object
 from .symmetry import CoeffVector, SymmetryKind, kind_from_json, pt_coefficient_map
 
@@ -251,24 +258,30 @@ class LpResult:
         return out
 
 
-def _bland_iterate(T, basis, ncols_allowed):
-    """Bland's rule on a tableau whose last row is the cost row."""
-    rhs = len(T[0]) - 1
+def _bland_iterate(M, d, basis, ncols_allowed):
+    """Bland's rule on an integer tableau M = d*T whose last row is the cost
+    row; ratios are compared by cross-multiplication.  Returns the last d."""
+    rhs = len(M[0]) - 1
     while True:
-        cost = T[-1]
+        cost = M[-1]
         e = next((j for j in range(ncols_allowed) if cost[j] < 0), None)
         if e is None:
-            return
-        best_r, best_ratio = None, None
-        for i, row in enumerate(T[:-1]):
-            if row[e] > 0:
-                ratio = row[rhs] / row[e]
-                if best_ratio is None or ratio < best_ratio or \
-                        (ratio == best_ratio and basis[i] < basis[best_r]):
-                    best_r, best_ratio = i, ratio
+            return d
+        best_r = None
+        for i in range(len(M) - 1):
+            row = M[i]
+            a = row[e]
+            if a <= 0:
+                continue
+            if best_r is not None:
+                # row[rhs]/a against num/den, both denominators positive
+                left, right = row[rhs] * den, num * a
+                if left > right or (left == right and basis[i] > basis[best_r]):
+                    continue
+            best_r, num, den = i, row[rhs], a
         if best_r is None:
             raise UnboundedLpError("objective unbounded over the feasible region")
-        pivot(T, best_r, e)
+        d = pivot(M, d, best_r, e)
         basis[best_r] = e
 
 
@@ -276,77 +289,76 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     """Exact two-phase simplex.  Deterministic; returns a vertex optimum."""
     poly = lp.polytope
     n = poly.ambient_dim
-    rows = []
-    labels = []
     # equalities first, then inequalities with slack columns
-    for row, rhs, label in poly.equalities:
-        rows.append((list(row), rhs, None))
-        labels.append(label)
-    for si, (row, rhs, label) in enumerate(poly.inequalities):
-        rows.append((list(row), rhs, si))
-        labels.append(label)
+    constraints = poly.equalities + poly.inequalities
+    rows = [list(row) + [rhs] for row, rhs, _ in constraints]
+    labels = [label for _, _, label in constraints]
     m = len(rows)
-    nslack = len(poly.inequalities)
+    neq = len(poly.equalities)
+    nslack = m - neq
     ncols = n + nslack
-    T = []
+    # one common scale, never one per row: see the module docstring
+    ints, scales = scaled_rows(rows, common=True)
+    M = []
     signs = []
-    for row, rhs, si in rows:
-        full = [Fraction(0)] * (ncols + m + 1)
-        full[:n] = row
-        if si is not None:
-            full[n + si] = Fraction(-1)
-        full[-1] = rhs
-        if rhs < 0:
-            full = [-v for v in full[:-1]] + [-rhs]
-            signs.append(Fraction(-1))
-        else:
-            signs.append(Fraction(1))
-        T.append(full)
-    for i in range(m):
-        T[i][ncols + i] = Fraction(1)
+    for i, (row, scale) in enumerate(zip(ints, scales)):
+        full = row[:n] + [0] * (nslack + m) + [row[n]]
+        if i >= neq:
+            full[n + i - neq] = -scale
+        sign = -1 if row[n] < 0 else 1
+        if sign < 0:
+            full = [-v for v in full]
+        full[ncols + i] = 1
+        signs.append(sign)
+        M.append(full)
     basis = [ncols + i for i in range(m)]
 
     # phase 1: minimise the artificial sum; the cost row is the last row
-    T.append([-sum(T[i][j] for i in range(m)) if j < ncols or j == ncols + m
-              else Fraction(0) for j in range(ncols + m + 1)])
-    _bland_iterate(T, basis, ncols)
-    cost = T[-1]
-    if -cost[-1] != 0:
+    cost = [-sum(col) for col in zip(*M)] if M else [0] * (ncols + 1)
+    cost[ncols:ncols + m] = [0] * m
+    M.append(cost)
+    d = _bland_iterate(M, 1, basis, ncols)
+    cost = M[-1]
+    if cost[-1] != 0:
         # infeasible; multipliers from the artificial columns' reduced costs
         cert = []
         for i in range(m):
-            pi = (1 - cost[ncols + i]) * signs[i]
+            pi = Fraction((d - cost[ncols + i]) * signs[i], d)
             if pi:
                 cert.append((labels[i], pi))
         return LpResult("infeasible", certificate=tuple(cert))
 
+    # phase 2 needs no artificial column
+    M = [row[:ncols] + row[-1:] for row in M]
     # drive basic artificials out; drop redundant rows
     keep = []
     for i in range(m):
         if basis[i] >= ncols:
-            e = next((j for j in range(ncols) if T[i][j]), None)
+            e = next((j for j in range(ncols) if M[i][j]), None)
             if e is None:
                 continue  # 0 = 0 row
-            pivot(T, i, e)
+            d = pivot(M, d, i, e)
             basis[i] = e
         keep.append(i)
     if len(keep) < m:
-        T = [T[i] for i in keep] + [T[-1]]
+        M = [M[i] for i in keep] + [M[-1]]
         basis = [basis[i] for i in keep]
 
-    # phase 2: price out the basic columns of the new cost row
-    obj = [frac(c) for c in lp.objective]
+    # phase 2: price the cost row, c*d - sum c_b(i) M[i], over integer c
+    (obj,), _ = scaled_rows([lp.objective])
     if lp.sense == "max":
         obj = [-c for c in obj]
-    T[-1] = obj + [Fraction(0)] * (nslack + m + 1)
+    obj += [0] * (nslack + 1)
+    cost = [c * d for c in obj]
     for i, bj in enumerate(basis):
-        pivot(T, i, bj)
-    _bland_iterate(T, basis, ncols)
+        if obj[bj]:
+            cost = [x - obj[bj] * y for x, y in zip(cost, M[i])]
+    M[-1] = cost
+    d = _bland_iterate(M, d, basis, ncols)
 
     z = [Fraction(0)] * ncols
     for i, bj in enumerate(basis):
-        if bj < ncols:
-            z[bj] = T[i][-1]
+        z[bj] = Fraction(M[i][-1], d)
     x = tuple(z[:n])
     value = sum(c * v for c, v in zip(lp.objective, x))
     return LpResult("optimal", value=value, point=x,
@@ -366,18 +378,18 @@ class DecompositionResult:
 def convex_decompose(p: SymPovm, catalog) -> DecompositionResult:
     """Express p as an exact convex combination of catalog POVMs.
 
-    ``catalog`` is a VertexSet (or any object with ``ordered_povms()``)
-    whose outcome-permutation closure shares p's kind and outcome count.
+    ``catalog`` is a VertexSet of p's kind and outcome count: its points are
+    the LP's columns, an eliminated two-outcome point (M1) standing for
+    (M1, 1 - M1).  Only the vertices of nonzero weight become SymPovms.
     """
-    povms = list(catalog.ordered_povms())
-    if not povms:
+    if not catalog.points:
         raise ValueError("empty catalog")
-    for v in povms:
-        if v.kind != p.kind or v.n_outcomes != p.n_outcomes:
-            raise ValueError("catalog does not match the POVM's kind/outcome count")
-    cols = [v.coords() for v in povms]
+    if catalog.kind != p.kind or catalog.n_outcomes != p.n_outcomes:
+        raise ValueError("catalog does not match the POVM's kind/outcome count")
+    cols = [pt + tuple(1 - v for v in pt) if catalog.eliminated else pt
+            for pt in catalog.points]
     target = p.coords()
-    dim = len(povms)
+    dim = len(cols)
     eqs = []
     for i, t in enumerate(target):
         eqs.append((tuple(col[i] for col in cols), t, ("coord", None, i)))
@@ -386,5 +398,6 @@ def convex_decompose(p: SymPovm, catalog) -> DecompositionResult:
     res = lp_solve(LinearProgram(poly, (Fraction(0),) * dim, sense="min"))
     if res.status == "infeasible":
         return DecompositionResult(False, certificate=res.certificate)
-    weights = tuple((povms[j], w) for j, w in enumerate(res.point) if w)
+    weights = tuple((povm_from_coords(p.kind, p.n_outcomes, cols[j]), w)
+                    for j, w in enumerate(res.point) if w)
     return DecompositionResult(True, weights=weights)

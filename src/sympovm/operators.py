@@ -15,6 +15,7 @@ Conventions, fixed once for all file formats:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,15 +328,15 @@ def json_list(x, where):
 
 
 def parse_int(x, where) -> int:
-    """An integer from an int, an integral float or a decimal string; a bool
-    or a number with a fractional part is a ValueError that names where."""
+    """An integer from an int, an integral float or a string of an optional
+    sign and ASCII digits; anything else (a bool, a fractional part, spaces,
+    underscores, non-ASCII digits) is a ValueError that names where."""
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        try:
-            return int(x)
-        except ValueError:
-            pass
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+        return int(x)
     raise ValueError(f"{where}: expected an integer, got {x!r}")
 
 
@@ -497,9 +498,13 @@ def kraus_from_separable_form(terms):
     their ldl_exact pieces, so no numpy and no tolerance is involved.
     """
     pairs = []
-    for w, a, b in terms:
+    for k, (w, a, b) in enumerate(terms):
         w = cr(w)
         if w.im or w.re < 0:
             raise ValueError("weights must be real and nonnegative")
-        pairs.append(KrausPair(_ldl_root(w.re, a, "Alice"), _ldl_root(Fraction(1), b, "Bob")))
+        alice, bob = _ldl_root(w.re, a, "Alice"), _ldl_root(Fraction(1), b, "Bob")
+        if len(alice.mat) != len(bob.mat):
+            raise ValueError(f"term {k}: Alice's factor is {len(alice.mat)}x{len(alice.mat)}, "
+                             f"Bob's is {len(bob.mat)}x{len(bob.mat)}")
+        pairs.append(KrausPair(alice, bob))
     return pairs

@@ -219,7 +219,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "w": "1", "a": float_factor([[1, 0], [0, 1]]),
         "b": {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]}))
     dims = {}
-    for name, value in (("fractional", 3.9), ("bool", True)):
+    for name, value in (("fractional", 3.9), ("bool", True), ("underscore", "1_000"),
+                        ("spaces", " 3 "), ("arabic-indic", "\u0663")):
         dims[name] = tmp_path / f"dim-{name}.json"
         dims[name].write_text(json.dumps({"family": "isotropic", "dim": value,
                                           "elements": [["1", "1"]]}))
@@ -242,6 +243,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (("check", "--povm", dims["fractional"]), dims["fractional"],
          "dim: expected an integer, got 3.9"),
         (("check", "--povm", dims["bool"]), dims["bool"], "dim: expected an integer, got True"),
+        (("check", "--povm", dims["underscore"]), dims["underscore"],
+         "dim: expected an integer, got '1_000'"),
+        (("check", "--povm", dims["spaces"]), dims["spaces"],
+         "dim: expected an integer, got ' 3 '"),
+        (("check", "--povm", dims["arabic-indic"]), dims["arabic-indic"],
+         "dim: expected an integer, got '\u0663'"),
         (("protocol-verify", "--protocol", huge_float, "--target", target), huge_float,
          "outcomes[0][0].b.entries[0][0]: int too large to convert to float"),
         (("protocol-verify", "--protocol", not_finite["nan"], "--target", target),

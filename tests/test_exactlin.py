@@ -1,8 +1,10 @@
 """Properties of the exact elimination kernel on small rational matrices.
 
-Every property checks a kernel result against a computation that does not
+Most properties check a kernel result against a computation that does not
 eliminate: determinants by the Leibniz permutation expansion, ranks as the
-size of the largest nonzero minor, products by the defining sums.
+size of the largest nonzero minor, products by the defining sums.  The
+fraction-free step and the integer ``rref`` and ``det`` are also checked
+against the Fraction Gauss-Jordan tableau of ``tests.fraction_tableau``.
 """
 
 import itertools
@@ -12,7 +14,8 @@ from math import gcd, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympovm._exactlin import det, inverse, nullspace, primitive, rref, solve
+from sympovm._exactlin import det, inverse, nullspace, pivot, primitive, rref, solve
+from tests import fraction_tableau
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -26,6 +29,7 @@ def matrices(rows=st.integers(1, 4), cols=st.integers(1, 4)):
 
 
 square = st.integers(1, 4).flatmap(lambda n: matrices(st.just(n), st.just(n)))
+wide = st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=1, max_size=5)
 
 
 def leibniz(a):
@@ -105,6 +109,37 @@ def test_rref_pivots_are_the_first_independent_columns(a):
         if minor_rank(chosen) == len(chosen):
             greedy.append(j)
     assert rref(a)[1] == greedy
+
+
+@SETTINGS
+@given(wide, st.data())
+def test_integer_pivot_keeps_m_equal_to_d_times_the_fraction_tableau(a, data):
+    # any sequence of pivots on nonzero entries, negative ones included
+    m, d = [list(row) for row in a], 1
+    t = [[Fraction(x) for x in row] for row in a]
+    for _ in range(len(a)):
+        nonzero = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        if not nonzero:
+            break
+        r, c = data.draw(st.sampled_from(nonzero))
+        d = pivot(m, d, r, c)
+        fraction_tableau.pivot(t, r, c)
+        assert d > 0
+        assert all(isinstance(x, int) for row in m for x in row)
+        assert [[Fraction(x, d) for x in row] for row in m] == t
+
+
+@SETTINGS
+@given(matrices(cols=st.integers(1, 5)), st.data())
+def test_rref_equals_the_fraction_tableau(a, data):
+    cols = data.draw(st.one_of(st.none(), st.integers(0, len(a[0]))))
+    assert rref(a, cols) == fraction_tableau.rref(a, cols)
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: matrices(st.just(n), st.just(n))))
+def test_det_equals_the_fraction_tableau(a):
+    assert det(a) == fraction_tableau.det(a)
 
 
 @SETTINGS

@@ -337,6 +337,17 @@ def test_catalog_extrema_evaluates_no_constraint(monkeypatch):
         catalog.to_json()
 
 
+def test_catalog_extrema_is_cached():
+    # a VertexSet is immutable, so one object serves every caller
+    catalog_extrema.cache_clear()
+    k = kind("oo", 3)
+    first = catalog_extrema(k, 3)
+    assert catalog_extrema(k, 3) is first
+    catalog_extrema.cache_clear()
+    again = catalog_extrema(k, 3)
+    assert again is not first and again == first
+
+
 def test_lemma_checks_pass_on_real_catalogs():
     for fam, d, n in [("bell", 2, 4), ("oo", 3, 3), ("isotropic", 3, 2)]:
         catalog = catalog_extrema(kind(fam, d), n)

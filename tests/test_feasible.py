@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympovm.extremal import catalog_extrema
 from sympovm.feasible import (
@@ -18,6 +20,7 @@ from sympovm.feasible import (
     povm_from_coords,
 )
 from sympovm.symmetry import CoeffVector, kind
+from tests import fraction_tableau
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -177,6 +180,31 @@ def test_convex_decompose_infeasible_point_has_certificate():
     assert res.certificate
 
 
+def test_convex_decompose_reads_an_eliminated_catalog():
+    # a DD vertex set of a two-outcome polytope holds M1 only; each column
+    # stands for (M1, 1 - M1), and the weighted POVMs have both elements
+    from sympovm.extremal import enumerate_vertices
+
+    k = kind("oo", 3)
+    eliminated = enumerate_vertices(build_feasible_polytope(k, 2))
+    assert eliminated.eliminated
+    full = catalog_extrema(k, 2)
+    rng = random.Random(31)
+    for _ in range(5):
+        weights = [Fraction(rng.randint(1, 4)) for _ in full.points]
+        coords = [sum(w * pt[i] for w, pt in zip(weights, full.points)) / sum(weights)
+                  for i in range(6)]
+        target = povm_from_coords(k, 2, coords)
+        for catalog in (eliminated, full):
+            res = convex_decompose(target, catalog)
+            assert res.decomposed
+            rebuilt = [sum(w * p.coords()[i] for p, w in res.weights) for i in range(6)]
+            assert rebuilt == coords
+            assert {p.coords() for p, _ in res.weights} <= set(full.points)
+    with pytest.raises(ValueError, match="does not match"):
+        convex_decompose(target, catalog_extrema(k, 3))
+
+
 @pytest.mark.parametrize("fam,d", [("isotropic", 2), ("werner", 3),
                                    ("bell", 2), ("oo", 3)])
 def test_is_feasible_matches_operator_level_check(fam, d):
@@ -267,6 +295,91 @@ def test_lp_over_nonneg_x_equals_free_split_route():
                 z = ref.point
                 assert res.value == ref.value
                 assert res.point == tuple(z[2 * j] - z[2 * j + 1] for j in range(dim))
+
+
+def same_result(lp):
+    """lp_solve against the Fraction-tableau simplex: every field and the
+    type of every number, or UnboundedLpError on both."""
+    try:
+        ref = fraction_tableau.lp_solve(lp)
+    except UnboundedLpError:
+        with pytest.raises(UnboundedLpError):
+            lp_solve(lp)
+        return
+    res = lp_solve(lp)
+    assert res == ref
+
+    def number_types(r):
+        return [type(v) for v in (r.value, *(r.point or ()),
+                                  *(c for _, c in r.certificate or ()))]
+
+    assert number_types(res) == number_types(ref)
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def random_lps(draw):
+    """Small LPs with fractional rows and objectives and negative right-hand
+    sides.  Some get a 0 = 0 row, some a multiple of another equality row,
+    some an equality row of nonpositive entries through the origin (its
+    artificial leaves the basis on a negative pivot), and half an upper
+    bound on sum(x)."""
+    n = draw(st.integers(1, 4))
+    rows = st.lists(rationals, min_size=n, max_size=n)
+    eqs = draw(st.lists(st.tuples(rows, rationals), max_size=3))
+    ineqs = draw(st.lists(st.tuples(rows, rationals), max_size=4))
+    extra = draw(st.sampled_from(("none", "zero", "multiple", "origin")))
+    if extra == "zero":
+        eqs.insert(draw(st.integers(0, len(eqs))), ([ZERO] * n, ZERO))
+    elif extra == "multiple" and eqs:
+        row, rhs = draw(st.sampled_from(eqs))
+        f = draw(rationals.filter(bool))
+        eqs.insert(draw(st.integers(0, len(eqs))), ([f * c for c in row], f * rhs))
+    elif extra == "origin":
+        row = [-abs(c) for c in draw(rows)]
+        eqs.insert(draw(st.integers(0, len(eqs))), (row, ZERO))
+    if draw(st.booleans()):
+        ineqs.append(([-ONE] * n, Fraction(-draw(st.integers(0, 4)))))
+    # a zero objective is the decomposition LP: every feasible point is optimal
+    objective = draw(st.one_of(st.just([ZERO] * n), rows))
+    poly = Polytope(n, tuple((tuple(r), b, ("ge", None, i)) for i, (r, b) in enumerate(ineqs)),
+                    tuple((tuple(r), b, ("eq", None, i)) for i, (r, b) in enumerate(eqs)))
+    return LinearProgram(poly, tuple(objective), draw(st.sampled_from(("max", "min"))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(random_lps())
+def test_lp_equals_fraction_tableau_on_random_lps(lp):
+    same_result(lp)
+
+
+def test_lp_equals_fraction_tableau_on_package_lps():
+    # decompositions (zero objective, many optimal vertices), points outside
+    # the hull (Farkas certificates) and degenerate Bayes objectives
+    rng = random.Random(29)
+    for fam, d, n in (("isotropic", 3, 2), ("werner", 3, 3), ("oo", 3, 2),
+                      ("oo", 3, 3), ("bell", 2, 3)):
+        k = kind(fam, d)
+        povms = catalog_extrema(k, n).ordered_povms()
+        poly = build_feasible_polytope(k, n, eliminate=False)
+        for _ in range(4):
+            weights = [Fraction(rng.randint(0, 2)) for _ in povms]
+            weights[0] += 1
+            coords = [sum(w * p.coords()[i] for w, p in zip(weights, povms)) / sum(weights)
+                      for i in range(poly.ambient_dim)]
+            outside = [c + Fraction(rng.randint(-1, 1), 5) for c in coords]
+            for target in (coords, outside):
+                cols = [p.coords() for p in povms]
+                eqs = tuple((tuple(col[i] for col in cols), t, ("coord", None, i))
+                            for i, t in enumerate(target))
+                eqs += (((ONE,) * len(cols), ONE, ("weight-sum", None, None)),)
+                same_result(LinearProgram(Polytope(len(cols), (), eqs),
+                                          (ZERO,) * len(cols), "min"))
+            state = [Fraction(rng.randint(0, 2)) for _ in range(k.n_coeffs)]
+            for sense in ("max", "min"):
+                same_result(LinearProgram(poly, tuple(state * n), sense))
 
 
 def test_polytope_and_lp_result_json():

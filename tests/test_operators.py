@@ -243,10 +243,16 @@ def test_kraus_one_exact_pair_per_term():
     (Fraction(-1, 2), mat_eye(2), mat_eye(2)),                  # negative weight
     (CRat(0, 1), mat_eye(2), mat_eye(2)),                       # non-real weight
     (1j, mat_eye(2), mat_eye(2)),                               # a Python complex
+    (1, mat_eye(2), mat_eye(3)),                                # factors of two sizes
 ])
 def test_kraus_rejects_bad_terms(w, a, b):
     with pytest.raises(ValueError):
         kraus_from_separable_form([(w, a, b)])
+
+
+def test_kraus_names_the_term_with_factors_of_two_sizes():
+    with pytest.raises(ValueError, match="term 1: Alice's factor is 2x2, Bob's is 3x3"):
+        kraus_from_separable_form([(1, mat_eye(2), mat_eye(2)), (1, mat_eye(2), mat_eye(3))])
 
 
 def test_kraus_float_entries_are_exact():

@@ -90,7 +90,8 @@ def test_coefficient_paths_build_no_dense_operator(monkeypatch):
     from sympovm.nogo import isotropic_sanity_search, naive_transform_search
 
     # cached dense bases would hide a build, so start from empty caches
-    for cached in (pt_coefficient_map, commutant_basis, _build_feasible_polytope):
+    for cached in (pt_coefficient_map, commutant_basis, _build_feasible_polytope,
+                   catalog_extrema):
         cached.cache_clear()
 
     def refuse(*args, **kwargs):
