@@ -7,14 +7,14 @@ through ``pivot``, and integer rays and rows are reduced by ``primitive``.
 ``pivot`` is fraction-free: it keeps an integer matrix M = D*T, where T is
 the Gauss-Jordan tableau and D > 0 the last pivot, and every entry stays a
 minor of the scaled input, so no gcd is taken inside the elimination.
-Rational input is scaled to integers (``scaled_rows``: row by row here,
-by one common denominator in the simplex); results leave as ``Fraction``s.
+Rational input is scaled to integers by one common denominator
+(``scaled_rows``); results leave as ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -50,29 +50,24 @@ def pivot(m, d, r, c) -> int:
     return p
 
 
-def scaled_rows(a, common=False):
-    """Integer rows of a rational matrix and their positive scale factors:
-    each row times the lcm of its denominators, or, with ``common``, every
-    row times the one lcm of all of them."""
+def scaled_rows(a):
+    """Integer rows of a rational matrix and their one positive scale: every
+    row times the lcm of all the denominators."""
     a = _copy(a)
-    if common:
-        big = lcm(1, *(x.denominator for row in a for x in row))
-        scales = [big] * len(a)
-    else:
-        scales = [lcm(1, *(x.denominator for x in row)) for row in a]
-    return [[x.numerator * (s // x.denominator) for x in row]
-            for row, s in zip(a, scales)], scales
+    scale = lcm(1, *(x.denominator for row in a for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row]
+            for row in a], scale
 
 
 def _eliminate(a, pivot_cols=None):
-    """Fraction-free Gauss-Jordan on the rows of ``a``, each scaled to
-    integers: (m, d, pivot columns, sign, row scales).  The RREF of ``a`` is
-    m/d on the pivot rows and m[i]/(d*scales[i]) on the rows after them; when
-    ``a`` is square and of full rank, sign*d/prod(scales) is its determinant."""
-    m, scales = scaled_rows(a)
+    """Fraction-free Gauss-Jordan on ``a`` scaled to integers: (m, d, pivot
+    columns, sign, scale).  The RREF of ``a`` is m/d on the pivot rows and
+    m/(d*scale) on the rows after them; when ``a`` is square and of full
+    rank, sign*d/scale**n is its determinant."""
+    m, scale = scaled_rows(a)
     d, sign = 1, 1
     if not m:
-        return m, d, [], sign, scales
+        return m, d, [], sign, scale
     ncols = len(m[0]) if pivot_cols is None else pivot_cols
     pivots = []
     r = 0
@@ -82,7 +77,6 @@ def _eliminate(a, pivot_cols=None):
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            scales[r], scales[pr] = scales[pr], scales[r]
             sign = -sign
         if m[r][c] < 0:
             sign = -sign
@@ -91,7 +85,7 @@ def _eliminate(a, pivot_cols=None):
         r += 1
         if r == len(m):
             break
-    return m, d, pivots, sign, scales
+    return m, d, pivots, sign, scale
 
 
 def rref(a, pivot_cols=None):
@@ -101,9 +95,9 @@ def rref(a, pivot_cols=None):
     lets an augmented system be reduced without pivoting on its rhs.  The
     pivot columns are the first columns independent of those before them.
     """
-    m, d, pivots, _, scales = _eliminate(a, pivot_cols)
-    # rows past the pivots keep their own scale factor
-    dens = [d] * len(pivots) + [d * s for s in scales[len(pivots):]]
+    m, d, pivots, _, scale = _eliminate(a, pivot_cols)
+    # rows past the pivots still carry the scale
+    dens = [d] * len(pivots) + [d * scale] * (len(m) - len(pivots))
     return [[Fraction(x, den) if x else Fraction(0) for x in row]
             for row, den in zip(m, dens)], pivots
 
@@ -159,11 +153,11 @@ def inverse(a):
 
 def det(a) -> Fraction:
     """Exact determinant: the last fraction-free pivot, signed by the row
-    swaps and the negative pivots, over the product of the row scales."""
-    m, d, pivots, sign, scales = _eliminate(a)
+    swaps and the negative pivots, over the scale to the power n."""
+    m, d, pivots, sign, scale = _eliminate(a)
     if len(pivots) < len(m):
         return Fraction(0)
-    return Fraction(sign * d, prod(scales))
+    return Fraction(sign * d, scale ** len(m))
 
 
 def primitive(ints) -> tuple:

@@ -61,17 +61,18 @@ class VertexSet:
     def coords_set(self):
         return frozenset(self.points)
 
+    def povm_coords(self):
+        """The points as full POVM coordinates: an eliminated two-outcome
+        point (M1) becomes (M1, 1 - M1)."""
+        if not self.eliminated:
+            return self.points
+        return tuple(pt + tuple(1 - v for v in pt) for pt in self.points)
+
     def ordered_povms(self):
         if self.kind is None:
             raise ValueError("geometry-only vertex set has no POVM view")
-        out = []
-        for coords in self.points:
-            if self.eliminated:
-                full = tuple(coords) + tuple(1 - v for v in coords)
-            else:
-                full = coords
-            out.append(povm_from_coords(self.kind, self.n_outcomes, full))
-        return out
+        return [povm_from_coords(self.kind, self.n_outcomes, full)
+                for full in self.povm_coords()]
 
     def povm_keys(self):
         return frozenset(tuple(e.coeffs for e in p.elements)

@@ -298,10 +298,10 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     nslack = m - neq
     ncols = n + nslack
     # one common scale, never one per row: see the module docstring
-    ints, scales = scaled_rows(rows, common=True)
+    ints, scale = scaled_rows(rows)
     M = []
     signs = []
-    for i, (row, scale) in enumerate(zip(ints, scales)):
+    for i, row in enumerate(ints):
         full = row[:n] + [0] * (nslack + m) + [row[n]]
         if i >= neq:
             full[n + i - neq] = -scale
@@ -378,16 +378,15 @@ class DecompositionResult:
 def convex_decompose(p: SymPovm, catalog) -> DecompositionResult:
     """Express p as an exact convex combination of catalog POVMs.
 
-    ``catalog`` is a VertexSet of p's kind and outcome count: its points are
-    the LP's columns, an eliminated two-outcome point (M1) standing for
-    (M1, 1 - M1).  Only the vertices of nonzero weight become SymPovms.
+    ``catalog`` is a VertexSet of p's kind and outcome count: its full POVM
+    coordinates (``povm_coords``) are the LP's columns.  Only the vertices of
+    nonzero weight become SymPovms.
     """
     if not catalog.points:
         raise ValueError("empty catalog")
     if catalog.kind != p.kind or catalog.n_outcomes != p.n_outcomes:
         raise ValueError("catalog does not match the POVM's kind/outcome count")
-    cols = [pt + tuple(1 - v for v in pt) if catalog.eliminated else pt
-            for pt in catalog.points]
+    cols = catalog.povm_coords()
     target = p.coords()
     dim = len(cols)
     eqs = []

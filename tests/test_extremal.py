@@ -328,6 +328,8 @@ def test_catalog_extrema_evaluates_no_constraint(monkeypatch):
     def refuse(self, x):
         raise AssertionError("active labels evaluated")
 
+    # a cached catalog would never reach the patched method
+    catalog_extrema.cache_clear()
     monkeypatch.setattr(Polytope, "active_labels", refuse)
     for fam, d in (("isotropic", 3), ("werner", 3), ("bell", 2), ("oo", 3)):
         for n in (1, 2, 3, 4):
