@@ -27,7 +27,6 @@ from .extremal import (
     catalog_classes,
     catalog_extrema,
     check_lemma_properties,
-    decompose_into_basic,
     enumerate_vertices,
     extremal_classes,
     is_extremal,

@@ -63,6 +63,15 @@ def _read(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _catalog(k, n_outcomes, where):
+    """catalog_extrema(k, n_outcomes); a catalog over its size bound is an
+    error naming where the outcome count came from."""
+    try:
+        return catalog_extrema(k, n_outcomes)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _family_kind(args):
     return kind(args.family, args.dim)
 
@@ -126,7 +135,7 @@ def cmd_vertices(args):
 
 
 def cmd_extrema(args):
-    vs = catalog_extrema(_family_kind(args), args.outcomes)
+    vs = _catalog(_family_kind(args), args.outcomes, "--outcomes")
     if args.format == "csv":
         rows = [("class", "multiplicity", "elements")]
         for i, (povm, mult) in enumerate(vs.canonical_classes()):
@@ -141,7 +150,7 @@ def cmd_extrema(args):
 
 def cmd_decompose(args):
     povm = _read(args.povm, SymPovm.from_json)
-    catalog = catalog_extrema(povm.kind, povm.n_outcomes)
+    catalog = _catalog(povm.kind, povm.n_outcomes, args.povm)
     res = convex_decompose(povm, catalog)
     if res.decomposed:
         _print_json({"decomposed": True,

@@ -3,16 +3,20 @@
 States invariant under one of the supported families are classical
 objects in coefficient space: a state is its vector of projector weights
 p_i = tr(rho Pi_i), and an invariant POVM element v assigns it outcome
-probability sum_i v_i p_i.  Local optima are therefore exact LPs over the
-feasible polytope; a sweep over the extremal classes of
-``extremal.catalog_classes`` (one canonical POVM per class, with
-per-outcome optimal guess relabelling) must reach the same value, and the
+probability sum_i v_i p_i.  A linear objective is therefore one gain
+matrix: guess g scores an element e as e . W[g], with
+W[g] = sum_j prior_j c[g][j] p_j (c the identity for Bayes).  The local
+optimum is an exact LP over the feasible polytope whose objective is the
+rows of W; a sweep over the extremal classes of
+``extremal.catalog_classes`` (one canonical POVM per class, each outcome
+relabelled to its best guess under W) must reach the same value, and the
 two are cross-checked on every call (a mismatch is a RuntimeError).
 Mutual information is maximised over the same classes alone, a convex
 function attaining its maximum at a vertex.
 
 Global discrimination of commuting states reduces to classically
-distinguishing their projector-weight distributions.
+distinguishing their projector-weight distributions: the best guess per
+commutant block, sum_i max_g W[g][i] (min for a cost matrix).
 """
 
 from __future__ import annotations
@@ -23,7 +27,13 @@ from fractions import Fraction
 
 from ._exactlin import frac
 from .extremal import catalog_classes
-from .feasible import LinearProgram, SymPovm, build_feasible_polytope, lp_solve
+from .feasible import (
+    LinearProgram,
+    SymPovm,
+    build_feasible_polytope,
+    lp_solve,
+    povm_from_coords,
+)
 from .symmetry import SymmetryKind, basis_traces, twirl_coefficients
 
 
@@ -88,17 +98,18 @@ def outcome_distribution(povm: SymPovm, state: StateCoeffs) -> tuple:
                  for e in povm.elements)
 
 
-def _element_score(element_coeffs, problem, guess):
-    """prior-weighted response of one element under guess g."""
-    total = Fraction(0)
-    for j, (state, prior) in enumerate(zip(problem.states, problem.priors)):
-        pr = sum(c * w for c, w in zip(element_coeffs, state.weights))
-        if problem.cost == "bayes":
-            if j == guess:
-                total += prior * pr
-        else:
-            total += prior * problem.cost[guess][j] * pr
-    return total
+def _gains(problem: DiscriminationProblem) -> tuple:
+    """The N x n gain rows W[g] = sum_j prior_j c[g][j] p_j, exact; for Bayes
+    c is the identity.  Element e scores e . W[g] under guess g."""
+    m = len(problem.states)
+    cost = problem.cost if problem.cost != "bayes" else \
+        tuple(tuple(int(g == j) for j in range(m)) for g in range(m))
+    return tuple(
+        tuple(sum((p * c * s.weights[i]
+                   for p, c, s in zip(problem.priors, row, problem.states)),
+                  Fraction(0))
+              for i in range(problem.kind.n_coeffs))
+        for row in cost)
 
 
 @dataclass(frozen=True)
@@ -121,36 +132,23 @@ def optimal_local_bayes(problem: DiscriminationProblem) -> LocalBayesResult:
     if problem.cost == "info":
         raise ValueError("use optimal_local_info for mutual information")
     k = problem.kind
-    n_states = len(problem.states)
+    m = len(problem.states)
     bayes = problem.cost == "bayes"
-    poly = build_feasible_polytope(k, n_states, eliminate=False)
-    n = k.n_coeffs
-    objective = [Fraction(0)] * (n * n_states)
-    for out in range(n_states):
-        for j, (state, prior) in enumerate(zip(problem.states, problem.priors)):
-            scale = prior if (bayes and j == out) else \
-                (prior * problem.cost[out][j] if not bayes else Fraction(0))
-            for i in range(n):
-                objective[out * n + i] += scale * state.weights[i]
-    sense = "max" if bayes else "min"
-    res = lp_solve(LinearProgram(poly, tuple(objective), sense=sense))
-    from .feasible import povm_from_coords
+    gains = _gains(problem)
+    poly = build_feasible_polytope(k, m, eliminate=False)
+    objective = tuple(x for row in gains for x in row)
+    res = lp_solve(LinearProgram(poly, objective, sense="max" if bayes else "min"))
+    lp_povm = povm_from_coords(k, m, res.point)
 
-    lp_povm = povm_from_coords(k, n_states, res.point)
-
+    pick = max if bayes else min  # the first best guess per outcome
     best = None
-    for povm in catalog_classes(k, n_states):
-        total = Fraction(0)
-        guesses = []
-        for e in povm.elements:
-            scores = [_element_score(e.coeffs, problem, g) for g in range(n_states)]
-            pick = max(range(n_states), key=lambda g: scores[g]) if bayes else \
-                min(range(n_states), key=lambda g: scores[g])
-            guesses.append(pick)
-            total += scores[pick]
-        if best is None or (bayes and total > best[0]) or \
-                (not bayes and total < best[0]):
-            best = (total, povm, tuple(guesses))
+    for povm in catalog_classes(k, m):
+        scores = [[sum(c * x for c, x in zip(e.coeffs, row)) for row in gains]
+                  for e in povm.elements]
+        guesses = tuple(pick(range(m), key=s.__getitem__) for s in scores)
+        total = sum(s[g] for s, g in zip(scores, guesses))
+        if best is None or (total > best[0] if bayes else total < best[0]):
+            best = (total, povm, guesses)
     sweep_value, sweep_povm, guesses = best
     if sweep_value != res.value:
         raise RuntimeError(f"LP optimum {res.value} != catalog sweep {sweep_value}; "
@@ -205,18 +203,8 @@ def global_optimal(problem: DiscriminationProblem):
     Pr(block i | state j) = p_j[i].  Returns an exact Fraction for Bayes
     and cost problems, a float for mutual information bits.
     """
-    n = problem.kind.n_coeffs
-    channel = tuple(s.weights for s in problem.states)
     if problem.cost == "info":
+        channel = tuple(s.weights for s in problem.states)
         return mutual_information_bits(problem.priors, channel)
-    total = Fraction(0)
-    for i in range(n):
-        if problem.cost == "bayes":
-            total += max(p * s.weights[i]
-                         for p, s in zip(problem.priors, problem.states))
-        else:
-            total += min(sum(p * problem.cost[g][j] * s.weights[i]
-                             for j, (p, s) in enumerate(zip(problem.priors,
-                                                            problem.states)))
-                         for g in range(len(problem.states)))
-    return total
+    pick = max if problem.cost == "bayes" else min
+    return sum(pick(column) for column in zip(*_gains(problem)))

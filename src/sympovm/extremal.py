@@ -21,6 +21,7 @@ integer rows through ``_exactlin``, the one exact elimination kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ from .feasible import (
     povm_from_coords,
 )
 from .operators import json_list, json_object, parse_fraction, parse_int
-from .symmetry import CoeffVector, Family, SymmetryKind, kind_from_json, pt_coefficient_map
+from .symmetry import CoeffVector, Family, SymmetryKind, kind_from_json
 
 
 class EmptyPolytopeError(ValueError):
@@ -399,13 +400,6 @@ def is_extremal(p: SymPovm) -> ExtremalityReport:
     return ExtremalityReport(False, rank, poly.ambient_dim, perturbation=witness)
 
 
-def perturbed(p: SymPovm, delta: SymPovm, sign=1) -> SymPovm:
-    elems = tuple(CoeffVector(p.kind, tuple(a + sign * b for a, b in
-                                            zip(e.coeffs, d.coeffs)))
-                  for e, d in zip(p.elements, delta.elements))
-    return SymPovm(p.kind, elems)
-
-
 # ---------------------------------------------------------------------------
 # the class table and the catalogs placed from it
 
@@ -472,13 +466,26 @@ def _fitting_classes(k: SymmetryKind, n_outcomes: int):
     return [parts for parts in extremal_classes(k) if len(parts) <= n_outcomes]
 
 
+# The most coordinates an ordered catalog may hold: N outcomes place a class
+# of c elements N!/(N-c)! ways, each point N*n coordinates, so oo's triple
+# alone gives about 3 N^4.  oo fits up to N = 12 (62 208; printing its JSON
+# takes seconds), isotropic and werner up to N = 32; N = 100 oo would be 3e8.
+MAX_CATALOG_ENTRIES = 2 ** 16
+
+
 @lru_cache(maxsize=None)
 def catalog_extrema(k: SymmetryKind, n_outcomes: int) -> VertexSet:
     """The extremal n-outcome POVMs: every placement of a class of the table
     into distinct outcomes, sorted.  Cached: a VertexSet is immutable."""
+    classes = _fitting_classes(k, n_outcomes)
+    entries = sum(math.perm(n_outcomes, len(parts)) for parts in classes) * \
+        n_outcomes * k.n_coeffs
+    if entries > MAX_CATALOG_ENTRIES:
+        raise ValueError(f"{n_outcomes} outcomes are too many for an ordered catalog: "
+                         f"{entries} coordinates, over the bound of {MAX_CATALOG_ENTRIES}")
     zero = (Fraction(0),) * k.n_coeffs
     pts = set()
-    for parts in _fitting_classes(k, n_outcomes):
+    for parts in classes:
         for slots in itertools.permutations(range(n_outcomes), len(parts)):
             placed = dict(zip(slots, parts))
             pts.add(tuple(c for s in range(n_outcomes) for c in placed.get(s, zero)))
@@ -514,24 +521,6 @@ def basic_vectors(k: SymmetryKind) -> BasicVectorSet:
     elems = [e for pair in pair_classes(k) for e in pair]
     out = sorted(elems) + [zero, ident] if k.family is Family.BELL else [zero, ident] + elems
     return BasicVectorSet(k, tuple(CoeffVector(k, v) for v in out))
-
-
-def decompose_into_basic(v: CoeffVector) -> tuple:
-    """Nonnegative weights over basic_vectors(v.kind) reconstructing v."""
-    ptm = pt_coefficient_map(v.kind)
-    if not v.is_nonneg() or not ptm.apply(v).is_nonneg():
-        raise ValueError("element is not feasible (fails positivity or PPT)")
-    from .feasible import LinearProgram, Polytope, lp_solve
-
-    basics = basic_vectors(v.kind).vectors
-    n = v.kind.n_coeffs
-    eqs = [(tuple(b.coeffs[i] for b in basics), v.coeffs[i], ("coord", None, i))
-           for i in range(n)]
-    poly = Polytope(len(basics), (), tuple(eqs))
-    res = lp_solve(LinearProgram(poly, (Fraction(0),) * len(basics), sense="min"))
-    if res.status != "optimal":
-        raise AssertionError("feasible element failed to decompose over basic vectors")
-    return res.point
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,6 @@ class SymPovm:
     def n_outcomes(self) -> int:
         return len(self.elements)
 
-    def is_complete(self) -> bool:
-        n = self.kind.n_coeffs
-        sums = [sum(e.coeffs[i] for e in self.elements) for i in range(n)]
-        return all(s == 1 for s in sums)
-
     def coords(self) -> tuple:
         """Stacked coefficient vector, element-major."""
         return tuple(c for e in self.elements for c in e.coeffs)

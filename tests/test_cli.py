@@ -179,7 +179,8 @@ def test_discriminate_command(tmp_path, capsys):
     assert abs(blob["value"] - 2.0) < 1e-9
     # the global optimum is attained by the commutant-block measurement
     blocks = SymPovm.from_json(blob["optimal_povm"])
-    assert blocks.n_outcomes == 4 and blocks.is_complete()
+    assert blocks.n_outcomes == 4
+    assert [sum(c) for c in zip(*(e.coeffs for e in blocks.elements))] == [1] * 4
     code, out, _ = run(capsys, "discriminate", "--states", str(path),
                        "--cost", "info", "--mode", "local")
     assert code == 0
@@ -230,7 +231,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         not_finite[name].write_text(json.dumps({"twirl": "isotropic", "dim": 2, "outcomes": [[{
             "w": "1", "a": float_factor([[1, 0], [0, 1]]),
             "b": {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, value], [1, 0]]]}}]]}))
+    # an ordered catalog of 100 oo outcomes would hold 3e8 coordinates
+    povm100 = tmp_path / "povm100.json"
+    povm100.write_text(json.dumps({"family": "oo", "dim": 3,
+                                   "elements": [["1", "1", "1"]] + [["0", "0", "0"]] * 99}))
     cases = [
+        (("extrema", "--family", "oo", "--dim", "3", "--outcomes", "100"), "--outcomes",
+         "100 outcomes are too many for an ordered catalog"),
+        (("decompose", "--povm", povm100), povm100,
+         "100 outcomes are too many for an ordered catalog"),
         (("check", "--povm", listed), listed, "expected a JSON object"),
         (("decompose", "--povm", listed), listed, "expected a JSON object"),
         (("protocol-verify", "--protocol", listed, "--target", target), listed,

@@ -189,3 +189,60 @@ def test_info_cost_routed_to_info_solver():
     prob = DiscriminationProblem(bell_states(), [QUARTER] * 4, cost="info")
     with pytest.raises(ValueError):
         optimal_local_bayes(prob)
+
+
+def random_states(rng, k, m):
+    states = []
+    for _ in range(m):
+        raw = [Fraction(rng.randint(0, 6)) for _ in range(k.n_coeffs)]
+        if not any(raw):
+            raw[rng.randrange(k.n_coeffs)] = Fraction(1)
+        states.append(StateCoeffs(k, tuple(r / sum(raw) for r in raw)))
+    return states
+
+
+def expected_cost(povm, guesses, prob):
+    """sum over outcomes k and states j of prior_j c[guess_k][j] Pr(k | j),
+    read from outcome_distribution alone (c the identity for Bayes)."""
+    total = Fraction(0)
+    for j, (state, prior) in enumerate(zip(prob.states, prob.priors)):
+        for g, pr in zip(guesses, outcome_distribution(povm, state)):
+            c = int(g == j) if prob.cost == "bayes" else prob.cost[g][j]
+            total += prior * c * pr
+    return total
+
+
+@pytest.mark.parametrize("cost", ["bayes", "matrix"])
+def test_local_results_attain_their_values(cost):
+    rng = random.Random(53 if cost == "bayes" else 59)
+    for fam, d in [("isotropic", 2), ("isotropic", 3), ("werner", 3), ("bell", 2),
+                   ("oo", 3), ("oo", 4)]:
+        k = kind(fam, d)
+        for m in range(2, 6):
+            states = random_states(rng, k, m)
+            priors_raw = [Fraction(rng.randint(1, 5)) for _ in range(m)]
+            priors = [p / sum(priors_raw) for p in priors_raw]
+            matrix = "bayes" if cost == "bayes" else \
+                [[rng.randint(0, 9) for _ in range(m)] for _ in range(m)]
+            prob = DiscriminationProblem(states, priors, cost=matrix)
+            res = optimal_local_bayes(prob)
+            assert res.value == res.lp_value == res.sweep_value
+            assert len(res.guesses) == res.sweep_povm.n_outcomes == m
+            assert expected_cost(res.sweep_povm, res.guesses, prob) == res.sweep_value
+            assert expected_cost(res.povm, range(m), prob) == res.value
+            if cost == "bayes":
+                assert global_optimal(prob) >= res.value
+            else:
+                assert global_optimal(prob) <= res.value
+
+
+def test_global_cost_matrix_by_hand():
+    # per commutant block, the cheapest guess: block 0 has Pr = 1 and 1/4,
+    # guess 0 costs 3 * 1/2 * 1/4 = 3/8 < guess 1's 1 * 1/2 * 1; block 1 has
+    # Pr = 0 and 3/4, guess 1 costs 0.  Reading c[j][g] gives 1/8, max 13/8.
+    ki = kind("isotropic", 2)
+    prob = DiscriminationProblem(
+        [StateCoeffs(ki, (1, 0)), StateCoeffs(ki, (QUARTER, 3 * QUARTER))],
+        [HALF, HALF], cost=[[0, 3], [1, 0]])
+    assert global_optimal(prob) == Fraction(3, 8)
+    assert optimal_local_bayes(prob).value >= Fraction(3, 8)

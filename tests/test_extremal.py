@@ -15,13 +15,11 @@ from sympovm.extremal import (
     catalog_classes,
     catalog_extrema,
     check_lemma_properties,
-    decompose_into_basic,
     enumerate_vertices,
     extremal_classes,
     is_extremal,
     oo_three_outcome_elements,
     oo_two_outcome_elements,
-    perturbed,
 )
 from sympovm.feasible import (
     SymPovm,
@@ -188,6 +186,13 @@ def test_class_table_sizes_and_oo_d2_coincidences():
         catalog_classes(kind("oo", 3), 0)
 
 
+def assert_witness_feasible(p, witness):
+    """p + witness and p - witness are both feasible POVMs."""
+    for sign in (1, -1):
+        coords = tuple(a + sign * b for a, b in zip(p.coords(), witness.coords()))
+        assert is_feasible(povm_from_coords(p.kind, p.n_outcomes, coords)).feasible
+
+
 def test_is_extremal_on_catalog_and_mixtures():
     rng = random.Random(29)
     for fam, d, n in [("isotropic", 2, 2), ("bell", 2, 4), ("oo", 3, 3)]:
@@ -206,8 +211,7 @@ def test_is_extremal_on_catalog_and_mixtures():
             mix = povm_from_coords(k, n, coords)
             report = is_extremal(mix)
             assert not report.extremal
-            for sign in (1, -1):
-                assert is_feasible(perturbed(mix, report.perturbation, sign)).feasible
+            assert_witness_feasible(mix, report.perturbation)
 
 
 def test_four_cycle_bell_povm_is_not_extremal():
@@ -219,8 +223,7 @@ def test_four_cycle_bell_povm_is_not_extremal():
                     CoeffVector(k, (half, 0, 0, half))))
     report = is_extremal(p)
     assert not report.extremal
-    for sign in (1, -1):
-        assert is_feasible(perturbed(p, report.perturbation, sign)).feasible
+    assert_witness_feasible(p, report.perturbation)
 
 
 def test_identity_with_zero_outcomes_is_extremal():
@@ -236,44 +239,6 @@ def test_is_extremal_rejects_infeasible():
                     CoeffVector(k, (0, Fraction(3, 4)))))
     with pytest.raises(ValueError):
         is_extremal(p)
-
-
-def test_basic_vector_decomposition_bell_column():
-    k = kind("bell", 2)
-    half = Fraction(1, 2)
-    v = CoeffVector(k, (1, half, half, 0))
-    weights = decompose_into_basic(v)
-    basics = basic_vectors(k).vectors
-    rebuilt = [ZERO] * 4
-    for w, b in zip(weights, basics):
-        assert w >= 0
-        for i, c in enumerate(b.coeffs):
-            rebuilt[i] += w * c
-    assert tuple(rebuilt) == v.coeffs
-    # the expected witness is itself a valid decomposition
-    by_coeffs = {b.coeffs: i for i, b in enumerate(basics)}
-    manual = [ZERO] * len(basics)
-    manual[by_coeffs[(1, 1, 0, 0)]] = half
-    manual[by_coeffs[(1, 0, 1, 0)]] = half
-    check = [sum(m * b.coeffs[i] for m, b in zip(manual, basics)) for i in range(4)]
-    assert tuple(check) == v.coeffs
-
-
-def test_basic_vector_decomposition_identity_and_tight():
-    k = kind("bell", 2)
-    ones = decompose_into_basic(CoeffVector(k, (1, 1, 1, 1)))
-    basics = basic_vectors(k).vectors
-    rebuilt = [sum(w * b.coeffs[i] for w, b in zip(ones, basics)) for i in range(4)]
-    assert tuple(rebuilt) == (1, 1, 1, 1)
-    tight = decompose_into_basic(CoeffVector(k, (1, 1, 0, 0)))
-    rebuilt = [sum(w * b.coeffs[i] for w, b in zip(tight, basics)) for i in range(4)]
-    assert tuple(rebuilt) == (1, 1, 0, 0)
-
-
-def test_basic_vector_rejects_infeasible_element():
-    k = kind("bell", 2)
-    with pytest.raises(ValueError):
-        decompose_into_basic(CoeffVector(k, (1, 0, 0, 0)))
 
 
 def test_oo_basic_vectors_are_the_two_outcome_extrema():
@@ -348,6 +313,14 @@ def test_catalog_extrema_is_cached():
     catalog_extrema.cache_clear()
     again = catalog_extrema(k, 3)
     assert again is not first and again == first
+
+
+def test_ordered_catalog_size_bound():
+    # oo at N = 12 places 1 728 points of 36 coordinates, N = 13 2 197 of 39
+    k = kind("oo", 3)
+    assert len(catalog_extrema(k, 12).points) <= 12 + 3 * 12 * 11 + 12 * 11 * 10
+    with pytest.raises(ValueError, match="13 outcomes are too many .* 85683 coordinates"):
+        catalog_extrema(k, 13)
 
 
 def test_lemma_checks_pass_on_real_catalogs():
