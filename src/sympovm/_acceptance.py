@@ -241,7 +241,7 @@ def criterion_5_pure_state_sets(seed=0):
         for st in s.states:
             if sum((x * x for x in st.vec), CR0):
                 return False, f"d={d}: amplitude squares do not cancel"
-            acc = mat_add(acc, mat_scale(st.weight, st.projector()))
+            acc = mat_add(acc, mat_scale(st.weight, st.projector))
         if acc != mat_eye(d):
             return False, f"d={d}: identity resolution fails"
     return True, "sum w|q><q| = 1 and sum amp^2 = 0 exactly, d=2..6"

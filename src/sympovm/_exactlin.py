@@ -1,14 +1,14 @@
-"""Exact linear algebra over rational matrices (real coefficient space).
+"""Exact linear algebra over rational and Gaussian-integer matrices.
 
 This is the one exact elimination kernel: ``rref``, ``det``, the simplex
 in ``feasible`` and the double description in ``extremal`` all eliminate
-through ``pivot``, and integer rays and rows are reduced by ``primitive``.
-
-``pivot`` is fraction-free: it keeps an integer matrix M = D*T, where T is
-the Gauss-Jordan tableau and D > 0 the last pivot, and every entry stays a
-minor of the scaled input, so no gcd is taken inside the elimination.
-Rational input is scaled to integers by one common denominator
-(``scaled_rows``); results leave as ``Fraction``s.
+through ``pivot``, every PSD test and LDL* of ``operators`` through its
+Hermitian form ``hermitian_ldl``, and integer rows are reduced by
+``primitive``.  Both steps are fraction-free (Bareiss, Math. Comp. 22,
+1968): every entry stays a minor of the scaled input and the division by
+the last pivot is exact, so no gcd is taken.  Rational input is scaled to
+integers by one common denominator (``scaled_rows``); results leave as
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -48,6 +48,37 @@ def pivot(m, d, r, c) -> int:
             m[i] = [-x for x in row]
         return -p
     return p
+
+
+def hermitian_ldl(re, im):
+    """Fraction-free LDL* of the Gaussian-integer matrix re + i*im: per pivot
+    (k, last pivot, pivot p, [(i, re, im) of column k's nonzero entries]), or
+    None when it is not Hermitian PSD.  Only signs are read: a negative
+    diagonal entry, or a zero one with a nonzero row, means not PSD.  Each
+    active entry becomes (p*m[i][j] - m[i][k]*m[k][j]) // d, d the last pivot:
+    p and d are real, so the exact division acts on each part alone."""
+    re, im = [list(r) for r in re], [list(r) for r in im]
+    if re != [list(c) for c in zip(*re)] or im != [[-x for x in c] for c in zip(*im)]:
+        return None
+    active, steps, d = list(range(len(re))), [], 1
+    while True:
+        if any(re[i][i] < 0 or not re[i][i] and any(re[i][j] or im[i][j] for j in active)
+               for i in active):
+            return None
+        active = [i for i in active if re[i][i]]
+        if not active:
+            return steps
+        k, *active = active
+        p, rk, ik = re[k][k], re[k], im[k]
+        steps.append((k, d, p, [(i, re[i][k], im[i][k]) for i in active
+                                if re[i][k] or im[i][k]]))
+        for t, i in enumerate(active):  # the upper triangle, mirrored
+            ri, ii, a, b = re[i], im[i], re[i][k], im[i][k]
+            for j in active[t:]:
+                ri[j] = x = (p * ri[j] - a * rk[j] + b * ik[j]) // d
+                ii[j] = y = (p * ii[j] - a * ik[j] - b * rk[j]) // d
+                re[j][i], im[j][i] = x, -y
+        d = p
 
 
 def scaled_rows(a):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .operators import parse_fraction
 from .protocols import _BELL_CONJUGATIONS, _projector_traces, _verification
-from .symmetry import basis_traces
+from .symmetry import Family, basis_traces
 
 
 def _real(x, where) -> float:
@@ -58,7 +58,11 @@ def _invariants(t, bell):
 def outcome_coefficients(terms, k) -> list:
     """The twirl of sum_t w A (x) B as floats; the real part of each
     projector trace is kept."""
-    traces = _projector_traces(terms, k, _invariants, 0j)
+    bell = k.family is Family.BELL
+    sums = [0j] * (4 if bell else 3)
+    for t in terms:
+        sums = [acc + p * t.weight for acc, p in zip(sums, _invariants(t, bell))]
+    traces = _projector_traces(sums, k)
     return [tr.real / n for tr, n in zip(traces, basis_traces(k))]
 
 
@@ -82,7 +86,9 @@ def resolves_identity(outcomes, d, eps) -> bool:
 
 def verify_protocol(protocol, target, eps):
     """`protocols.verify_protocol` for a protocol with a float factor."""
-    return _verification(protocol, target, lambda g: factor_psd(g, eps),
+    return _verification(target, ((t.weight, t.a_factor, t.b_factor)
+                                   for terms in protocol.outcomes for t in terms),
+                         lambda g: factor_psd(g, eps),
                          lambda k: outcome_coefficients(protocol.outcomes[k], protocol.kind),
                          resolves_identity(protocol.outcomes, protocol.kind.dim, eps), eps)
 

@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import _acceptance
 from .discrimination import (
     DiscriminationProblem,
     StateCoeffs,
@@ -28,8 +27,9 @@ from .extremal import (
     brute_force_vertices,
     catalog_extrema,
     enumerate_vertices,
+    vertex_polytope,
 )
-from .feasible import SymPovm, build_feasible_polytope, convex_decompose, is_feasible
+from .feasible import SymPovm, convex_decompose, is_feasible
 from .operators import json_list, json_object, parse_fraction
 from .nogo import isotropic_sanity_search, naive_transform_search
 from .protocols import (
@@ -63,11 +63,11 @@ def _read(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _catalog(k, n_outcomes, where):
-    """catalog_extrema(k, n_outcomes); a catalog over its size bound is an
-    error naming where the outcome count came from."""
+def _bounded(build, k, n_outcomes, where):
+    """build(k, n_outcomes), a catalog or a polytope to enumerate; one over
+    its size bound is an error naming where the outcome count came from."""
     try:
-        return catalog_extrema(k, n_outcomes)
+        return build(k, n_outcomes)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -127,7 +127,7 @@ def _vertex_output(vs, fmt):
 
 
 def cmd_vertices(args):
-    poly = build_feasible_polytope(_family_kind(args), args.outcomes)
+    poly = _bounded(vertex_polytope, _family_kind(args), args.outcomes, "--outcomes")
     vs = brute_force_vertices(poly) if args.method == "brute" else \
         enumerate_vertices(poly)
     _vertex_output(vs, args.format)
@@ -135,7 +135,7 @@ def cmd_vertices(args):
 
 
 def cmd_extrema(args):
-    vs = _catalog(_family_kind(args), args.outcomes, "--outcomes")
+    vs = _bounded(catalog_extrema, _family_kind(args), args.outcomes, "--outcomes")
     if args.format == "csv":
         rows = [("class", "multiplicity", "elements")]
         for i, (povm, mult) in enumerate(vs.canonical_classes()):
@@ -150,7 +150,7 @@ def cmd_extrema(args):
 
 def cmd_decompose(args):
     povm = _read(args.povm, SymPovm.from_json)
-    catalog = _catalog(povm.kind, povm.n_outcomes, args.povm)
+    catalog = _bounded(catalog_extrema, povm.kind, povm.n_outcomes, args.povm)
     res = convex_decompose(povm, catalog)
     if res.decomposed:
         _print_json({"decomposed": True,
@@ -277,6 +277,7 @@ def cmd_discriminate(args):
 
 
 def cmd_repro(args):
+    from . import _acceptance  # only repro needs it
     results = _acceptance.run_all(seed=args.seed)
     for r in results:
         status = "PASS" if r["ok"] else "FAIL"

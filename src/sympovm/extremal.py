@@ -31,6 +31,7 @@ from .feasible import (
     Polytope,
     SymPovm,
     build_feasible_polytope,
+    inequality_count,
     is_feasible,
     povm_from_coords,
 )
@@ -281,6 +282,22 @@ def enumerate_vertices(polytope: Polytope) -> VertexSet:
 
 # combinations screened per numpy batch by brute_force_vertices
 _SCREEN_CHUNK = 60000
+
+
+# The most inequalities of a feasible polytope that `vertex_polytope` builds:
+# by double description bell N = 8 (64 rows) takes about 5 s and bell N = 10
+# (80) 25 s; the tests and the benchmark use at most 40.
+MAX_VERTEX_INEQUALITIES = 64
+
+
+def vertex_polytope(k: SymmetryKind, n_outcomes: int) -> Polytope:
+    """build_feasible_polytope(k, n_outcomes) for vertex enumeration; a
+    polytope over MAX_VERTEX_INEQUALITIES rows is refused before it is built."""
+    rows = inequality_count(k, n_outcomes)
+    if rows > MAX_VERTEX_INEQUALITIES:
+        raise ValueError(f"{n_outcomes} outcomes give {rows} inequalities, over the bound "
+                         f"of {MAX_VERTEX_INEQUALITIES} for vertex enumeration")
+    return build_feasible_polytope(k, n_outcomes)
 
 
 def brute_force_vertices(polytope: Polytope) -> VertexSet:

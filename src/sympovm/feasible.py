@@ -160,6 +160,12 @@ def build_feasible_polytope(k: SymmetryKind, n_outcomes: int,
     return _build_feasible_polytope(k, n_outcomes, eliminate)
 
 
+def inequality_count(k: SymmetryKind, n_outcomes: int) -> int:
+    """The rows of build_feasible_polytope(k, n_outcomes), without building
+    it: a positivity and a PPT row per coefficient of each outcome."""
+    return 2 * k.n_coeffs * n_outcomes
+
+
 @lru_cache(maxsize=None)
 def _build_feasible_polytope(k, n_outcomes, eliminate) -> Polytope:
     if n_outcomes < 1:

@@ -5,7 +5,9 @@ imaginary parts, closed under +, -, *, / with no rounding.  Matrices are
 tuples of tuples of such scalars, and every operator here is exact: a
 plain number read from a file is taken at its exact binary value.  The
 float mode of protocol files lives in `sympovm._float`, which alone
-imports numpy; Kraus extraction is exact and never needs it.
+imports numpy; Kraus extraction is exact and never needs it.  The PSD
+test and LDL* scale a grid once to Gaussian integers (`IntGrid`) and run
+the fraction-free Hermitian step of `_exactlin` on it.
 
 Conventions, fixed once for all file formats:
   * composite basis |i>|j> sits at row-major index i*d + j (Alice major);
@@ -18,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import _exactlin
 
 
 class CRat:
@@ -197,46 +201,51 @@ def mat_is_hermitian(a) -> bool:
 
 def mat_is_exact(a) -> bool:
     """Whether every entry of a grid is exact: an int, a Fraction or a CRat."""
-    return all(isinstance(x, (int, Fraction, CRat)) for row in a for x in row)
+    return all(isinstance(x, (CRat, int, Fraction)) for row in a for x in row)
+
+
+class IntGrid:
+    """An exact grid as Gaussian integers re + i*im = scale*grid, the scale
+    the lcm of its denominators; ``nonzero`` lists (i, j, re, im) per
+    nonzero entry."""
+
+    __slots__ = ("scale", "re", "im", "nonzero")
+
+    def __init__(self, grid):
+        parts = [[(x.re.as_integer_ratio(), x.im.as_integer_ratio()) for x in map(cr, row)]
+                 for row in grid]
+        self.scale = s = math.lcm(1, *{q for row in parts for pair in row for _, q in pair})
+        self.re = [[p * (s // q) for (p, q), _ in row] for row in parts]
+        self.im = [[p * (s // q) for _, (p, q) in row] for row in parts]
+        self.nonzero = [(i, j, x, y) for i, (rr, ri) in enumerate(zip(self.re, self.im))
+                        for j, (x, y) in enumerate(zip(rr, ri)) if x or y]
 
 
 def ldl_exact(a):
-    """Rational LDL* of an exact Hermitian grid, or None when it is not PSD.
+    """Rational LDL* of an exact grid, or None when it is not Hermitian PSD.
 
     The pieces (d, l) satisfy a = sum d l l†, with each d a positive
     Fraction and each l a tuple of Gaussian rationals that is 1 at its
-    pivot.  A Hermitian matrix with a zero diagonal entry is PSD only if the
-    whole corresponding row vanishes, so no radicals are ever required.
+    pivot, read from the fraction-free pivots p_k of the scaled grid:
+    d_k = p_k / (p_(k-1) scale), l_k the pivot column over p_k.
     """
-    m = [list(row) for row in a]
-    active = list(range(len(m)))
+    g = IntGrid(a)
+    steps = _exactlin.hermitian_ldl(g.re, g.im)
+    if steps is None:
+        return None
     pieces = []
-    while active:
-        if any(m[i][i].re < 0 for i in active):
-            return None
-        piv = next((i for i in active if m[i][i].re > 0), None)
-        if piv is None:
-            return pieces if all(not m[i][j] for i in active for j in active) else None
-        active.remove(piv)
-        d = m[piv][piv]
-        col = [CR0] * len(m)
-        col[piv] = CR1
-        prow = m[piv]
-        for i in active:
-            f = m[i][piv] / d
-            if not f:
-                continue
-            col[i] = f
-            irow = m[i]
-            for j in active:
-                irow[j] = irow[j] - f * prow[j]
-        pieces.append((d.re, tuple(col)))
+    for k, last, p, col in steps:
+        l = {i: CRat(Fraction(x, p), Fraction(y, p)) for i, x, y in col}
+        pieces.append((Fraction(p, last * g.scale),
+                       tuple(CR1 if i == k else l.get(i, CR0) for i in range(len(g.re)))))
     return pieces
 
 
 def psd_exact(a) -> bool:
-    """PSD decision for an exact Hermitian grid (see ldl_exact)."""
-    return ldl_exact(a) is not None
+    """Whether an exact grid, or its IntGrid, is Hermitian PSD: only the
+    signs of its fraction-free elimination are read (see ldl_exact)."""
+    g = a if isinstance(a, IntGrid) else IntGrid(a)
+    return _exactlin.hermitian_ldl(g.re, g.im) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +484,7 @@ def _ldl_root(w, a, who) -> ScaledFactor:
     of a, a rational root folded into its row, and zero rows pad A to
     len(a) rows."""
     a = mat(a)
-    pieces = ldl_exact(a) if mat_is_hermitian(a) else None
+    pieces = ldl_exact(a)
     if pieces is None:
         raise ValueError(f"{who} factor is not PSD")
     radicands, rows = [], []

@@ -5,16 +5,18 @@ terms (Alice factor (x) Bob factor), every factor PSD.  Twirling the
 physical outcome operators must reproduce the target coefficient vectors
 exactly; that check is `verify_protocol`.
 
-Exact verification never builds a d^2 x d^2 operator.  The twirl of a
-product term w A (x) B needs only d x d invariants of its factors:
-tr(A (x) B) = trA trB, tr(F A (x) B) = tr(AB) and tr(P+ A (x) B) =
-tr(AB^T)/d, which `symmetry.projector_traces` turns into projector traces
-through the family's commutant table; a Bell projector
-(1 (x) s) Phi+ (1 (x) s)^dagger gives tr(A (s^dagger B s)^T)/2.
-Completeness is a sparse sum over the nonzero factor entries.  The dense
-route, `LocalProtocol.outcome_operator` twirled by
-`symmetry.twirl_coefficients`, stays as the independent oracle of the
-tests and the acceptance checks.
+Exact verification never builds a d^2 x d^2 operator: it scales each
+factor once to Gaussian integers (`operators.IntGrid`) and runs the PSD
+test, completeness and the twirl on them.  The twirl of a product term
+w A (x) B needs only d x d invariants of its factors: tr(A (x) B) =
+trA trB, tr(F A (x) B) = tr(AB) and tr(P+ A (x) B) = tr(AB^T)/d, which
+`symmetry.projector_traces` turns into projector traces through the
+family's commutant table; a Bell projector (1 (x) s) Phi+ (1 (x) s)^dagger
+gives tr(A (s^dagger B s)^T)/2.  Completeness is a sparse sum over the
+nonzero factor entries; both sums run in integers over one common
+denominator of every term.  The dense route, `LocalProtocol.outcome_operator`
+twirled by `symmetry.twirl_coefficients`, stays as the independent oracle
+of the tests and the acceptance checks.
 
 Pure-state sets carry unnormalised Gaussian-rational amplitude vectors
 with their squared norm, so projectors (and hence every protocol
@@ -28,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .feasible import SymPovm
 from .operators import (
@@ -35,6 +38,7 @@ from .operators import (
     CR1,
     BipartiteOperator,
     CRat,
+    IntGrid,
     cr,
     grid_from_json,
     json_grid,
@@ -45,7 +49,6 @@ from .operators import (
     mat_add,
     mat_eye,
     mat_is_exact,
-    mat_is_hermitian,
     mat_kron,
     mat_scale,
     mat_sub,
@@ -120,36 +123,14 @@ class LocalProtocol:
         """
         if not self.exact:
             raise ValueError("outcome_coefficients requires an exact protocol")
-        traces = _projector_traces(self.outcomes[k], self.kind, _exact_invariants, CR0)
-        if any(tr.im for tr in traces):
-            raise ValueError("operator trace against basis projector is not real")
-        return CoeffVector(self.kind, tuple(tr.re / n for tr, n in
-                                            zip(traces, basis_traces(self.kind))))
+        (terms,), scale = _scaled_terms((self.outcomes[k],))
+        return CoeffVector(self.kind, _exact_coefficients(terms, scale, self.kind))
 
     def resolves_identity(self) -> bool:
-        """Whether the outcome operators sum to the identity, exactly.
-
-        Accumulates w A[i][k] B[j][l] at ((i d + j), (k d + l)) over the
-        nonzero factor entries only.
-        """
+        """Whether the outcome operators sum to the identity, exactly."""
         if not self.exact:
             raise ValueError("resolves_identity requires an exact protocol")
-        d = self.kind.dim
-        acc = {}
-        for terms in self.outcomes:
-            for t in terms:
-                bnz = [(j, l, y) for j, row in enumerate(t.b_factor)
-                       for l, y in enumerate(row) if y]
-                for i, row in enumerate(t.a_factor):
-                    for k, x in enumerate(row):
-                        if not x:
-                            continue
-                        wx = x * t.weight
-                        for j, l, y in bnz:
-                            key = (i * d + j, k * d + l)
-                            acc[key] = acc.get(key, CR0) + wx * y
-        return all(acc.get((r, r), CR0) == 1 for r in range(d * d)) and \
-            all(not v for (r, c), v in acc.items() if r != c)
+        return _exact_complete(*_scaled_terms(self.outcomes), self.kind.dim)
 
     def to_json(self) -> dict:
         def factor_json(g):
@@ -208,39 +189,80 @@ _BELL_CONJUGATIONS = (((1, 0), (1, 1)), ((1, 0), (1, -1)),
                       ((0, 1), (1, 1)), ((0, 1), (1, -1)))
 
 
-def _projector_traces(terms, k: SymmetryKind, invariants, zero):
+def _projector_traces(sums, k: SymmetryKind):
     """tr(Pi_i sum_t w A (x) B) for each commutant projector Pi_i, in basis
-    order, from invariants(t, bell) of each product term t: for bell
-    tr(A (s^dagger B s)^T) per projector, else (trA trB, tr(AB), tr(AB^T)).
-    The sums start at zero: CR0, or 0j in float mode."""
-    bell = k.family is Family.BELL
-    sums = [zero] * (4 if bell else 3)
-    for t in terms:
-        sums = [acc + p * t.weight for acc, p in zip(sums, invariants(t, bell))]
-    if bell:
+    order, from the sums over the terms t of w times their invariants: for
+    bell tr(A (s^dagger B s)^T) per projector, else (trA trB, tr(AB),
+    tr(AB^T)).  Exact or float."""
+    if k.family is Family.BELL:
         return [s * _HALF for s in sums]
     tot, swap, plus = sums
     return projector_traces(k, (tot, swap, plus / k.dim))
 
 
-def _exact_invariants(t, bell):
-    """The invariants of an exact term, over the nonzero entries of A."""
-    a, b = t.a_factor, t.b_factor
-    nz = [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+def _scaled_terms(outcomes):
+    """(outcomes, L): each term w A (x) B as (c, A, B), A and B the IntGrids
+    of its factors and c = w L / (A.scale B.scale), so that the term is
+    c A (x) B / L in their integers; L is the lcm over all terms."""
+    grids = [[(t.weight, IntGrid(t.a_factor), IntGrid(t.b_factor)) for t in terms]
+             for terms in outcomes]
+    scale = lcm(1, *{w.denominator * a.scale * b.scale for terms in grids for w, a, b in terms})
+    return [[(w.numerator * (scale // (w.denominator * a.scale * b.scale)), a, b)
+             for w, a, b in terms] for terms in grids], scale
+
+
+def _dot(a: IntGrid, mre, mim):
+    """sum_ij A_ij M_ij over the nonzero entries of A, as an (re, im) pair."""
+    return (sum(x * mre[i][j] - y * mim[i][j] for i, j, x, y in a.nonzero),
+            sum(x * mim[i][j] + y * mre[i][j] for i, j, x, y in a.nonzero))
+
+
+def _int_invariants(a: IntGrid, b: IntGrid, bell):
+    """The invariants of a term A (x) B as (re, im) integer pairs, each
+    a.scale * b.scale times its value."""
     if bell:
-        parts = []
-        for perm, sign in _BELL_CONJUGATIONS:
-            s = CR0
-            for i, j, x in nz:
-                y = b[perm[i]][perm[j]]
-                if y:
-                    s = s + x * y if sign[i] == sign[j] else s - x * y
-            parts.append(s)
-        return parts
-    tr_a = sum((x for i, j, x in nz if i == j), CR0)
-    return (tr_a * sum((row[i] for i, row in enumerate(b)), CR0),
-            sum((x * b[j][i] for i, j, x in nz if b[j][i]), CR0),
-            sum((x * b[i][j] for i, j, x in nz if b[i][j]), CR0))
+        return [_dot(a, *([[sign[i] * sign[j] * m[perm[i]][perm[j]] for j in (0, 1)]
+                           for i in (0, 1)] for m in (b.re, b.im)))
+                for perm, sign in _BELL_CONJUGATIONS]
+    ar, ai, br, bi = (sum(row[i] for i, row in enumerate(m)) for m in (a.re, a.im, b.re, b.im))
+    return ((ar * br - ai * bi, ar * bi + ai * br),
+            _dot(a, list(zip(*b.re)), list(zip(*b.im))), _dot(a, b.re, b.im))
+
+
+def _exact_coefficients(terms, scale, k: SymmetryKind) -> tuple:
+    """The twirl coefficients of one outcome's scaled terms: the invariants
+    summed as integers, one Fraction per sum; a basis trace that is not real
+    is a ValueError."""
+    bell = k.family is Family.BELL
+    re, im = [0] * (4 if bell else 3), [0] * (4 if bell else 3)
+    for c, a, b in terms:
+        for s, (x, y) in enumerate(_int_invariants(a, b, bell)):
+            re[s] += c * x
+            im[s] += c * y
+    traces = _projector_traces([Fraction(x, scale) for x in re], k)
+    if any(_projector_traces([Fraction(y, scale) for y in im], k)):
+        raise ValueError("operator trace against basis projector is not real")
+    return tuple(tr / n for tr, n in zip(traces, basis_traces(k)))
+
+
+def _exact_complete(outcomes, scale, d) -> bool:
+    """Whether the scaled terms of all outcomes sum to the identity: c
+    A[i][k] B[j][l] accumulates at ((i d + j), (k d + l)) as integers over
+    the nonzero factor entries only, and must give scale times the identity."""
+    n = d * d
+    acc_re, acc_im = {}, {}
+    for terms in outcomes:
+        for c, a, b in terms:
+            bnz = [(j * n + l, u, v) for j, l, u, v in b.nonzero]
+            for i, k, x, y in a.nonzero:
+                base, x, y = i * d * n + k * d, c * x, c * y
+                for off, u, v in bnz:
+                    key = base + off
+                    acc_re[key] = acc_re.get(key, 0) + x * u - y * v
+                    if y or v:
+                        acc_im[key] = acc_im.get(key, 0) + x * v + y * u
+    return all(acc_re.pop(r * (n + 1), 0) == scale for r in range(n)) and \
+        not any(acc_re.values()) and not any(acc_im.values())
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +274,9 @@ class PureState:
     vec: tuple  # unnormalised CRat amplitudes
     norm2: Fraction
 
+    @cached_property
     def projector(self):
+        """|v><v| / norm2 as an exact grid, built once per state."""
         inv = CRat(Fraction(1) / self.norm2)
         return tuple(tuple(inv * (x * y.conjugate()) for y in self.vec)
                      for x in self.vec)
@@ -352,7 +376,7 @@ def _validate_state_set(s: PureStateSet):
             raise AssertionError("state fails self-transpose orthogonality")
         if st.norm2 <= 0 or sum((x * x.conjugate() for x in st.vec), CR0) != st.norm2:
             raise AssertionError("stored squared norm is wrong")
-        acc = mat_add(acc, mat_scale(st.weight, st.projector()))
+        acc = mat_add(acc, mat_scale(st.weight, st.projector))
     if acc != mat_eye(d):
         raise AssertionError("states do not resolve the identity")
 
@@ -493,7 +517,7 @@ def _oo_sum_terms(states: PureStateSet, bob):
     """Terms sum_q w_q |q><q| (x) bob(|q><q|)."""
     out = []
     for st in states.states:
-        proj = st.projector()
+        proj = st.projector
         out.append(ProductTerm(st.weight, proj, bob(proj)))
     return tuple(out)
 
@@ -601,9 +625,9 @@ def verify_protocol(protocol: LocalProtocol, target: SymPovm,
 
     Also checks that the untwirled outcomes resolve the identity and that
     every factor is PSD with nonnegative weight.  An exact protocol is
-    checked from local invariants of its product terms
-    (`LocalProtocol.outcome_coefficients`, `LocalProtocol.resolves_identity`)
-    and no d^2 x d^2 operator is built; the dense twirl of
+    checked on its factors, each scaled once to Gaussian integers, by the
+    routes of `outcome_coefficients`, `resolves_identity` and
+    `operators.psd_exact`, and no d^2 x d^2 operator is built; the dense twirl of
     `outcome_operator` is the oracle they are tested against.  A protocol
     with a float factor is checked by `sympovm._float` from the same
     invariants, every comparison within eps.
@@ -616,17 +640,18 @@ def verify_protocol(protocol: LocalProtocol, target: SymPovm,
         from . import _float
 
         return _float.verify_protocol(protocol, target, eps)
-    return _verification(protocol, target, lambda g: mat_is_hermitian(g) and psd_exact(g),
-                         lambda k: protocol.outcome_coefficients(k).coeffs,
-                         protocol.resolves_identity(), 0)
+    outcomes, scale = _scaled_terms(protocol.outcomes)
+    return _verification(target, (t for terms in outcomes for t in terms), psd_exact,
+                         lambda k: _exact_coefficients(outcomes[k], scale, protocol.kind),
+                         _exact_complete(outcomes, scale, protocol.kind.dim), 0)
 
 
-def _verification(protocol, target, factor_psd, coefficients, complete, tol):
-    """The verification of protocol against target, given a factor check,
+def _verification(target, terms, factor_psd, coefficients, complete, tol):
+    """The verification against target of a protocol with the given terms,
+    each (weight or a positive multiple of it, A, B), given a factor check,
     coefficients(k) of outcome k, which matches its target when every
     difference is at most tol, and the completeness verdict."""
-    psd_ok = all(t.weight >= 0 and factor_psd(t.a_factor) and factor_psd(t.b_factor)
-                 for terms in protocol.outcomes for t in terms)
+    psd_ok = all(w >= 0 and factor_psd(a) and factor_psd(b) for w, a, b in terms)
     diffs = []
     for k, e in enumerate(target.elements):
         diff = tuple(g - c for g, c in zip(coefficients(k), e.coeffs))

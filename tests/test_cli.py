@@ -240,6 +240,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "100 outcomes are too many for an ordered catalog"),
         (("decompose", "--povm", povm100), povm100,
          "100 outcomes are too many for an ordered catalog"),
+        # the double description of 100 oo outcomes would not end in minutes
+        (("vertices", "--family", "oo", "--dim", "3", "--outcomes", "100"), "--outcomes",
+         "100 outcomes give 600 inequalities, over the bound of 64"),
+        (("vertices", "--family", "bell", "--outcomes", "5000", "--method", "brute"),
+         "--outcomes", "5000 outcomes give 40000 inequalities"),
         (("check", "--povm", listed), listed, "expected a JSON object"),
         (("decompose", "--povm", listed), listed, "expected a JSON object"),
         (("protocol-verify", "--protocol", listed, "--target", target), listed,
@@ -568,6 +573,30 @@ def test_exact_commands_never_import_numpy(tmp_path):
         path.write_text(json.dumps(blob))
     res = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT] + [str(p) for p in paths],
                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+LAZY_EXPORTS_SCRIPT = """
+import sys
+import sympovm
+loaded = sorted(m for m in sys.modules if m.startswith("sympovm."))
+assert not loaded, loaded
+for name in sympovm.__all__:
+    assert getattr(sympovm, name) is not None, name
+try:
+    sympovm.not_a_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
+def test_package_import_loads_no_submodule():
+    # the package exports load on first use, so a command imports only what
+    # it reaches; every exported name still resolves
+    res = subprocess.run([sys.executable, "-c", LAZY_EXPORTS_SCRIPT], capture_output=True,
+                         text=True, env=child_env(), timeout=120)
     assert res.returncode == 0, res.stderr
 
 

@@ -279,3 +279,90 @@ def test_float_mode_operator():
     assert m.entries[3][3] == Fraction(0.1) != Fraction(1, 10)
     assert is_psd(m)
     assert partial_transpose(partial_transpose(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free Hermitian kernel against the CRat Gauss elimination
+
+def random_grid_case(rng, n, case):
+    """A seeded n x n test grid of one case: psd (full rank), deficient
+    (rank < n), zero-diag (a zero diagonal entry with a nonzero row),
+    negative-diag, shifted (a PSD grid with one diagonal entry moved either
+    way), non-hermitian (one off-diagonal entry moved alone) or
+    imaginary-symmetric (an imaginary part added on both sides of the
+    diagonal, or on it, so that only the imaginary part breaks Hermiticity)."""
+    rank = n if case == "psd" else rng.randint(0, n - 1) if case == "deficient" else \
+        rng.randint(0, n)
+    grid = [list(row) for row in random_psd_factor(rng, n, rank, den=rng.choice([1, 2, 3, 6]))]
+    i, j = rng.randrange(n), rng.randrange(n)
+    z = CRat(Fraction(rng.randint(1, 5), rng.randint(1, 4)),
+             Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    if case == "zero-diag" and n > 1:
+        j = (i + 1 + rng.randrange(n - 1)) % n
+        for k in range(n):
+            grid[i][k] = grid[k][i] = CR0
+        grid[i][j], grid[j][i] = z, z.conjugate()
+    elif case == "negative-diag":
+        grid[i][i] = CRat(-z.re)
+    elif case == "shifted":
+        grid[i][i] = grid[i][i] + CRat(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+    elif case == "non-hermitian":
+        grid[i][j] = grid[i][j] + (z if i != j else CRat(0, z.re))
+    elif case == "imaginary-symmetric":
+        grid[i][j] = grid[i][j] + CRat(0, z.re)
+        if i != j:
+            grid[j][i] = grid[j][i] + CRat(0, z.re)
+    return tuple(tuple(row) for row in grid)
+
+
+GRID_CASES = ("psd", "deficient", "zero-diag", "negative-diag", "shifted",
+              "non-hermitian", "imaginary-symmetric")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ldl_exact_equals_the_crat_elimination(n):
+    from sympovm.operators import ldl_exact, psd_exact
+
+    from tests.crat_ldl import ldl_crat
+
+    rng = random.Random(100 + n)
+    verdicts = set()
+    for trial in range(70):
+        case = GRID_CASES[trial % len(GRID_CASES)]
+        grid = random_grid_case(rng, n, case)
+        want = ldl_crat(grid)
+        assert ldl_exact(grid) == want, (case, grid)
+        assert psd_exact(grid) == (want is not None), (case, grid)
+        if want is not None:
+            assert charpoly_psd(grid)
+            total = mat_zeros(n)
+            for d, l in want:
+                total = tuple(tuple(t + CRat(d) * x * y.conjugate() for t, y in zip(row, l))
+                              for row, x in zip(total, l))
+            assert total == grid
+        verdicts.add((case, want is not None))
+    if n > 1:
+        assert {("psd", True), ("deficient", True), ("zero-diag", False),
+                ("negative-diag", False), ("non-hermitian", False),
+                ("imaginary-symmetric", False)} <= verdicts
+
+
+def test_kraus_pairs_equal_those_of_the_crat_elimination(monkeypatch):
+    from sympovm import operators
+
+    from tests.crat_ldl import ldl_crat
+
+    rng = random.Random(71)
+    terms = []
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        terms.append((rng.choice([1, Fraction(rng.randint(1, 9), rng.randint(1, 9))]),
+                      random_psd_factor(rng, n, rng.randint(0, n), den=rng.choice([1, 2, 4])),
+                      random_psd_factor(rng, n, rng.randint(0, n), den=rng.choice([1, 3]))))
+    got = kraus_from_separable_form(terms)
+    monkeypatch.setattr(operators, "ldl_exact", ldl_crat)
+    want = kraus_from_separable_form(terms)
+    assert len(got) == len(want) == len(terms)
+    for g, w in zip(got, want):
+        assert g == w
+        assert repr(g) == repr(w)

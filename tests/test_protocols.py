@@ -480,6 +480,26 @@ def test_exact_verification_builds_no_dense_operator(monkeypatch):
     assert verify_protocol(proto, target).ok
 
 
+def test_exact_completeness_keeps_only_the_reached_entries():
+    # the completeness sum holds the entries that products of nonzero factor
+    # entries reach, d^2 of them here, not one slot per entry of the
+    # d^2 x d^2 sum: at d = 32 that would be 2^20 slots, 8 MB of pointers
+    import tracemalloc
+
+    from sympovm.protocols import _exact_complete, _scaled_terms
+
+    d = 32
+    proto = isotropic_protocol(iso_povm(d, (0, Fraction(d, d + 1)), (1, Fraction(1, d + 1))))
+    outcomes, scale = _scaled_terms(proto.outcomes)
+    tracemalloc.start()
+    try:
+        assert _exact_complete(outcomes, scale, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_pure_state_set_is_built_once_per_dimension():
     assert build_pure_state_set(5) is build_pure_state_set(5)
 
@@ -530,3 +550,89 @@ def test_float_factor_psd_within_eps(eigenvalue, psd):
     moved = LocalProtocol(proto.kind, ((ProductTerm(t.weight, t.a_factor, b),) +
                                        proto.outcomes[0][1:], proto.outcomes[1]))
     assert verify_protocol(moved, target).factors_psd is psd
+
+
+# ---------------------------------------------------------------------------
+# mutated protocols: the integer verification against the dense route
+
+def mutations(proto, rng):
+    """Four one-term mutations of proto: a weight scaled by 3/2, a Bob
+    factor that is not PSD, a non-Hermitian Alice entry, a dropped term."""
+    k = rng.choice([k for k, terms in enumerate(proto.outcomes) if terms])
+    n = rng.randrange(len(proto.outcomes[k]))
+    t = proto.outcomes[k][n]
+    d = proto.kind.dim
+    i, j = rng.randrange(d), rng.randrange(d)
+    bob = [list(row) for row in t.b_factor]
+    bob[i][i] = bob[i][i] - CRat(Fraction(rng.randint(1, 3)) + sum(
+        (abs(x.re) + abs(x.im) for row in bob for x in row), Fraction(0)))
+    alice = [list(row) for row in t.a_factor]
+    alice[i][j] = alice[i][j] + (CRat(Fraction(1, 3), 1) if i != j else CRat(0, 1))
+
+    def swap(term):
+        terms = proto.outcomes[k][:n] + term + proto.outcomes[k][n + 1:]
+        return LocalProtocol(proto.kind, proto.outcomes[:k] + (terms,) + proto.outcomes[k + 1:])
+
+    return [swap((ProductTerm(t.weight * Fraction(3, 2), t.a_factor, t.b_factor),)),
+            swap((ProductTerm(t.weight, t.a_factor, tuple(map(tuple, bob))),)),
+            swap((ProductTerm(t.weight, tuple(map(tuple, alice)), t.b_factor),)),
+            swap(())]
+
+
+def dense_verification(proto, target):
+    """verify_protocol's report from the dense outcome operators and the
+    CRat elimination, or the error both must raise."""
+    from tests.crat_ldl import ldl_crat
+
+    def psd(g):
+        return ldl_crat(g) is not None
+
+    factors_psd = all(t.weight >= 0 and psd(t.a_factor) and psd(t.b_factor)
+                      for terms in proto.outcomes for t in terms)
+    complete = dense_complete(proto)
+    diffs = []
+    for k, e in enumerate(target.elements):
+        try:
+            coeffs = dense_coefficients(proto, k).coeffs
+        except ValueError as exc:
+            return str(exc)
+        diff = tuple(g - c for g, c in zip(coeffs, e.coeffs))
+        diffs.append(None if not any(diff) else diff)
+    ok = all(d is None for d in diffs) and complete and factors_psd
+    return (ok, tuple(d is None for d in diffs), tuple(diffs), complete, factors_psd)
+
+
+def integer_verification(proto, target):
+    try:
+        r = verify_protocol(proto, target)
+    except ValueError as exc:
+        return str(exc)
+    return (r.ok, r.outcomes_ok, r.diffs, r.complete, r.factors_psd)
+
+
+def synthesised_cases():
+    rng = random.Random(83)
+    for fam, synth in (("isotropic", isotropic_protocol), ("werner", werner_protocol)):
+        for d in (2, 3):
+            target = random_feasible_target(rng, kind(fam, d), rng.randint(1, 3))
+            yield synth(target), target
+    for k, counts in ((kind("bell", 2), (2, 3)), (kind("oo", 3), (2, 3)), (kind("oo", 4), (3,))):
+        for n in counts:
+            for povm in catalog_extrema(k, n).ordered_povms()[::4]:
+                yield protocol_for_vertex(povm), povm
+
+
+def test_mutated_protocols_verify_as_the_dense_route():
+    rng = random.Random(89)
+    seen = set()
+    for proto, target in synthesised_cases():
+        assert integer_verification(proto, target) == dense_verification(proto, target)
+        for mutated in mutations(proto, rng):
+            got = integer_verification(mutated, target)
+            assert got == dense_verification(mutated, target)
+            seen.add(got if isinstance(got, str) else got[3:])
+    # every check failed somewhere: completeness, factor PSD, a non-real trace
+    reports = [s for s in seen if not isinstance(s, str)]
+    assert any(not complete for complete, _ in reports)
+    assert any(not psd for _, psd in reports)
+    assert "operator trace against basis projector is not real" in seen
